@@ -1,23 +1,21 @@
-/// End-to-end construction wall time under the stream runtime vs the flat
-/// OpenMP baseline it replaced. One binary measures both sides honestly:
-/// RuntimeMode::FlatOpenMP restores the pre-stream behavior (fork/join
-/// `schedule(static)` launches, serial sampler GEMM, no overlap) while
-/// RuntimeMode::Streams runs the persistent pool with cost-aware chunking,
-/// stream overlap and the intra-op parallel GEMM path.
+/// End-to-end construction wall time under the stream runtime (persistent
+/// pool, cost-aware chunking, stream overlap and the intra-op parallel GEMM
+/// path) at 1 and 4 threads.
 ///
-/// Results go to BENCH_construction.json: per (N, threads, mode) wall time,
-/// the stream-over-flat speedup, and 1->T scaling efficiency of the stream
-/// runtime, at N = 2048 and 8192. `--smoke` runs a tiny single problem for
-/// the CI sanitizer sweep.
+/// Results go to BENCH_construction.json: per (N, threads) wall time, and
+/// 1->T scaling efficiency, at N = 2048 and 8192. The runtime is a
+/// scheduling change only, so every thread count must agree on samples and
+/// ranks; the bench exits nonzero otherwise. `--smoke` runs a tiny single
+/// problem for the CI sanitizer sweep.
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
-#include "common/thread_pool.hpp"
 #include "geometry/point_cloud.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/entry_gen.hpp"
@@ -36,7 +34,6 @@ namespace {
 struct Measurement {
   index_t n = 0;
   int threads = 0;
-  std::string mode;
   double seconds = 0.0;
   index_t total_samples = 0;
   index_t kernel_launches = 0;
@@ -51,10 +48,9 @@ void set_threads(int t) {
 #endif
 }
 
-Measurement build_once(index_t n, index_t leaf, int threads, RuntimeMode mode,
-                       std::uint64_t seed, kern::SamplerKind kind) {
+Measurement build_once(index_t n, index_t leaf, int threads, std::uint64_t seed,
+                       kern::SamplerKind kind) {
   set_threads(threads);
-  set_runtime_mode(mode);
   auto tree = std::make_shared<tree::ClusterTree>(
       tree::ClusterTree::build(geo::uniform_random_cube(n, 3, seed), leaf));
   kern::ExponentialKernel kernel(0.2);
@@ -63,8 +59,8 @@ Measurement build_once(index_t n, index_t leaf, int threads, RuntimeMode mode,
   opts.tol = 1e-6;
   opts.initial_samples = 32;
   opts.sample_block = 32;
-  // Surrogate setup (proxy kind) happens outside the timed region: the A/B
-  // here compares the construction runtime's scheduling, not sampler setup.
+  // Surrogate setup (proxy kind) happens outside the timed region: this
+  // measures the construction runtime, not sampler setup.
   kern::ProxySamplerOptions popts;
   popts.tol = opts.tol;
   auto sampler = kern::make_kernel_sampler(kind, tree, kernel, popts);
@@ -75,22 +71,19 @@ Measurement build_once(index_t n, index_t leaf, int threads, RuntimeMode mode,
   Measurement m;
   m.n = n;
   m.threads = threads;
-  m.mode = mode == RuntimeMode::FlatOpenMP ? "flat" : "streams";
   m.seconds = wall_seconds() - t0;
   m.total_samples = res.stats.total_samples;
   m.kernel_launches = res.stats.kernel_launches;
   m.max_rank = res.stats.max_rank;
-  set_runtime_mode(RuntimeMode::Streams);
   return m;
 }
 
 /// Best of `reps` runs (damps scheduler noise without averaging in cold
 /// caches).
-Measurement best_of(index_t n, index_t leaf, int threads, RuntimeMode mode, int reps,
-                    kern::SamplerKind kind) {
+Measurement best_of(index_t n, index_t leaf, int threads, int reps, kern::SamplerKind kind) {
   Measurement best;
   for (int r = 0; r < reps; ++r) {
-    Measurement m = build_once(n, leaf, threads, mode, /*seed=*/1234, kind);
+    Measurement m = build_once(n, leaf, threads, /*seed=*/1234, kind);
     if (best.n == 0 || m.seconds < best.seconds) best = m;
   }
   return best;
@@ -112,45 +105,40 @@ int main(int argc, char** argv) {
   const std::vector<index_t> sizes =
       smoke ? std::vector<index_t>{1024} : std::vector<index_t>{2048, 8192};
   const index_t leaf = smoke ? 16 : 32;
-  const std::vector<int> thread_counts = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 8};
-  const int reps = smoke ? 1 : 2;
+  const std::vector<int> thread_counts = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 4};
+  const int reps = smoke ? 1 : 3;
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::cout << "hardware threads: " << hw << "\n";
 
   Table table("bench_construction",
-              {"n", "threads", "mode", "time_s", "samples", "launches", "speedup_vs_flat"});
+              {"n", "threads", "time_s", "samples", "launches", "speedup_vs_1"});
   table.print_header();
 
   std::vector<Measurement> all;
-  std::vector<std::string> rows_json;
   bool consistent = true;
   for (index_t n : sizes) {
+    Measurement one;
     for (int t : thread_counts) {
-      const Measurement flat = best_of(n, leaf, t, RuntimeMode::FlatOpenMP, reps, kind);
-      const Measurement streams = best_of(n, leaf, t, RuntimeMode::Streams, reps, kind);
-      // The runtime is a scheduling change only: identical adaptive control
-      // flow (and therefore samples/ranks) in both modes is a correctness
-      // gate, not a benchmark statistic.
-      if (flat.total_samples != streams.total_samples || flat.max_rank != streams.max_rank)
+      const Measurement m = best_of(n, leaf, t, reps, kind);
+      if (t == thread_counts.front()) one = m;
+      // Identical adaptive control flow (and therefore samples/ranks) at
+      // every width is a correctness gate, not a benchmark statistic.
+      if (m.total_samples != one.total_samples || m.max_rank != one.max_rank)
         consistent = false;
-      const double speedup = flat.seconds / streams.seconds;
-      table.row({fmt(n), fmt(t), "flat", fmt(flat.seconds), fmt(flat.total_samples),
-                 fmt(flat.kernel_launches), "1"});
-      table.row({fmt(n), fmt(t), "streams", fmt(streams.seconds), fmt(streams.total_samples),
-                 fmt(streams.kernel_launches), fmt(speedup)});
-      all.push_back(flat);
-      all.push_back(streams);
+      table.row({fmt(n), fmt(t), fmt(m.seconds), fmt(m.total_samples), fmt(m.kernel_launches),
+                 fmt(one.seconds / m.seconds)});
+      all.push_back(m);
     }
   }
 
-  // Scaling efficiency of the stream runtime: T1 / (T * T_T) per size.
+  // Scaling efficiency: T1 / (T * T_T) per size.
   std::cout << "\n";
   for (index_t n : sizes) {
     double t1 = 0.0, tmax = 0.0;
     int maxt = 0;
     for (const auto& m : all) {
-      if (m.n != n || m.mode != "streams") continue;
+      if (m.n != n) continue;
       if (m.threads == 1) t1 = m.seconds;
       if (m.threads > maxt) {
         maxt = m.threads;
@@ -158,11 +146,10 @@ int main(int argc, char** argv) {
       }
     }
     if (maxt > 1 && tmax > 0.0)
-      std::cout << "N=" << n << ": stream scaling efficiency 1->" << maxt << " threads: "
+      std::cout << "N=" << n << ": scaling efficiency 1->" << maxt << " threads: "
                 << fmt(t1 / (tmax * maxt)) << " (speedup " << fmt(t1 / tmax) << "x)\n";
   }
-  if (!consistent)
-    std::cout << "WARNING: flat and stream modes disagreed on samples/ranks\n";
+  if (!consistent) std::cout << "WARNING: thread counts disagreed on samples/ranks\n";
 
   // Smoke and proxy runs write separate (gitignored) files so reproducing
   // the CI steps from the repo root cannot clobber the committed full-mode
@@ -175,16 +162,16 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"construction\",\n  \"mode\": \"" << (smoke ? "smoke" : "full")
        << "\",\n  \"hardware_threads\": " << hw << ",\n  \"workload\": "
        << "\"3D cube, exponential kernel (l=0.2), "
-       << (kind == kern::SamplerKind::Proxy ? "ProxyMatVecSampler" : "KernelMatVecSampler")
-       << ", tol=1e-6\""
-       << ",\n  \"leaf\": " << leaf << ",\n  \"consistent\": " << (consistent ? "true" : "false")
-       << ",\n  \"note\": \"rows with threads > hardware_threads are oversubscribed: they "
-       << "measure scheduler overhead, not scaling — compare flat vs streams per row, and "
-       << "read speedups only where oversubscribed is false\",\n  \"runs\": [\n";
+       << (proxy_kind ? "ProxyMatVecSampler" : "KernelMatVecSampler") << ", tol=1e-6\""
+       << ",\n  \"leaf\": " << leaf << ",\n  \"reps\": " << reps
+       << ",\n  \"consistent\": " << (consistent ? "true" : "false")
+       << ",\n  \"note\": \"seconds is the best of reps builds; rows with threads > "
+       << "hardware_threads are oversubscribed and measure scheduler overhead, not "
+       << "scaling\",\n  \"runs\": [\n";
   for (size_t i = 0; i < all.size(); ++i) {
     const auto& m = all[i];
-    json << "    {\"n\": " << m.n << ", \"threads\": " << m.threads << ", \"mode\": \"" << m.mode
-         << "\", \"seconds\": " << m.seconds << ", \"total_samples\": " << m.total_samples
+    json << "    {\"n\": " << m.n << ", \"threads\": " << m.threads
+         << ", \"seconds\": " << m.seconds << ", \"total_samples\": " << m.total_samples
          << ", \"kernel_launches\": " << m.kernel_launches << ", \"max_rank\": " << m.max_rank
          << ", \"oversubscribed\": "
          << (static_cast<unsigned>(m.threads) > hw ? "true" : "false") << "}"

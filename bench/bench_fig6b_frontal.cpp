@@ -6,10 +6,10 @@
 /// use the DtN-like synthetic separator kernel. As in the paper, the
 /// sketching operator here is a full dense matrix.
 
-#include "baselines/hss.hpp"
 #include "baselines/peeling_hodlr.hpp"
 #include "bench_common.hpp"
 #include "kernels/dense_sampler.hpp"
+#include "solver/hss_construction.hpp"
 #include "sparse/multifrontal.hpp"
 #include "sparse/synthetic_front.hpp"
 
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     const real_t err = core::relative_error_2norm(fresh, approx, 10);
 
     kern::DenseMatrixSampler s_hss(fc.dense.view());
-    auto r_hss = baselines::construct_hss(fc.tr, s_hss, gen, opts);
+    auto r_hss = solver::build_hss(fc.tr, s_hss, gen, opts);
 
     kern::DenseMatrixSampler s_hodlr(fc.dense.view());
     baselines::TopDownOptions td;

@@ -7,11 +7,11 @@
 
 #include <iostream>
 
-#include "baselines/hss.hpp"
 #include "core/construction.hpp"
 #include "core/error_est.hpp"
 #include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
+#include "solver/hss_construction.hpp"
 #include "sparse/multifrontal.hpp"
 
 using namespace h2sketch;
@@ -45,7 +45,7 @@ int main() {
   const real_t err = core::relative_error_2norm(fresh, approx, 15);
 
   kern::DenseMatrixSampler s_hss(front.view());
-  auto hss = baselines::construct_hss(tr, s_hss, gen, opts);
+  auto hss = solver::build_hss(tr, s_hss, gen, opts);
 
   const double dense_mb = static_cast<double>(nf) * nf * 8.0 / (1024.0 * 1024.0);
   std::cout << "dense front: " << dense_mb << " MiB\n"

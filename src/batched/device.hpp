@@ -144,18 +144,6 @@ class ExecutionContext {
       return;
     }
     count_stream_launch(stream, 1);
-    if (runtime_mode() == RuntimeMode::FlatOpenMP) {
-      // Baseline mode: the pre-stream fork/join launch, synchronous. The
-      // calling thread holds the kernel scope; the process-wide unlock
-      // covers the forked workers.
-      const std::int64_t t0 = label ? obs::trace_now_ns() : 0;
-      {
-        backend::KernelScope ks(device_.get());
-        h2sketch::parallel_for(batch, f);
-      }
-      if (label) record_launch_event(stream, label, t0, batch, 1);
-      return;
-    }
     if (ThreadPool::global().width() <= 1 && stream_idle(stream)) {
       // Single lane and nothing queued ahead: run in place, zero overhead.
       const std::int64_t t0 = label ? obs::trace_now_ns() : 0;

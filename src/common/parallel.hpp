@@ -14,10 +14,7 @@
 /// Shared-memory parallel loop wrappers. `parallel_for` is a thin shim over
 /// the persistent work-stealing pool (thread_pool.hpp): no per-launch
 /// fork/join, cooperative waiting, chunk boundaries derived from the trip
-/// count only (bitwise-deterministic for any thread count). In
-/// RuntimeMode::FlatOpenMP the pool reverts to the legacy
-/// `#pragma omp parallel for schedule(static)` fork/join so benchmarks can
-/// measure the runtime against its own pre-stream baseline.
+/// count only (bitwise-deterministic for any thread count).
 
 namespace h2sketch {
 

@@ -8,8 +8,6 @@ namespace h2sketch {
 
 namespace {
 
-std::atomic<RuntimeMode> g_runtime_mode{RuntimeMode::Streams};
-
 /// Worker slot index of the calling thread (SIZE_MAX for external threads).
 /// Used so nested submissions land on the submitting worker's own deque.
 thread_local size_t t_worker_slot = static_cast<size_t>(-1);
@@ -20,12 +18,6 @@ thread_local ThreadPool* t_worker_pool = nullptr;
 constexpr int kMaxWorkers = 256;
 
 } // namespace
-
-RuntimeMode runtime_mode() { return g_runtime_mode.load(std::memory_order_relaxed); }
-
-void set_runtime_mode(RuntimeMode mode) {
-  g_runtime_mode.store(mode, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // TaskGroup

@@ -47,16 +47,6 @@
 
 namespace h2sketch {
 
-/// Execution policy toggle used for A/B benchmarking: `Streams` is the
-/// pool-backed runtime; `FlatOpenMP` restores the pre-stream behavior
-/// (fork/join `#pragma omp parallel for schedule(static)` per launch,
-/// serial GEMM inside samplers) so bench_construction can measure the
-/// speedup of the runtime against its own baseline in one binary.
-enum class RuntimeMode { Streams, FlatOpenMP };
-
-RuntimeMode runtime_mode();
-void set_runtime_mode(RuntimeMode mode);
-
 class ThreadPool;
 
 /// Tracks completion and the first exception of a set of submitted tasks.
@@ -131,7 +121,6 @@ class ThreadPool {
 
   /// Chunked parallel loop over [0, n): f(i) for every i, chunk boundaries
   /// derived from n only (never from the width), caller participates.
-  /// In FlatOpenMP mode falls back to the legacy OpenMP fork/join loop.
   template <typename F>
   void parallel_for(index_t n, F&& f);
 
@@ -186,15 +175,7 @@ template <typename F>
 void ThreadPool::parallel_for(index_t n, F&& f) {
   if (n <= 0) return;
   const int w = width();
-  if (w <= 1 || n == 1 || runtime_mode() == RuntimeMode::FlatOpenMP) {
-    if (runtime_mode() == RuntimeMode::FlatOpenMP && w > 1) {
-      // Legacy flat path, preserved verbatim for baseline measurements.
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-      for (index_t i = 0; i < n; ++i) f(i);
-      return;
-#endif
-    }
+  if (w <= 1 || n == 1) {
     for (index_t i = 0; i < n; ++i) f(i);
     return;
   }

@@ -245,7 +245,7 @@ void H2SketchBuilder::add_sample_round(index_t level) {
   extend_yloc(level, c0, dn);
 }
 
-bool H2SketchBuilder::level_converged(index_t level) {
+index_t H2SketchBuilder::unconverged_nodes(index_t level) {
   PhaseScope scope(stats_.phases, Phase::Convergence);
   const index_t nodes = tree_->nodes_at(level);
   const auto ul = static_cast<size_t>(level);
@@ -285,13 +285,14 @@ bool H2SketchBuilder::level_converged(index_t level) {
       obs::MetricsRegistry::global().sketch("construction_probe_residual");
   for (index_t i = 0; i < nodes; ++i) residual_sketch.record(mins[static_cast<size_t>(i)]);
   const real_t eps = eps_abs();
+  index_t failing = 0;
   for (index_t i = 0; i < nodes; ++i) {
     const index_t m = yloc_[ul][static_cast<size_t>(i)].rows();
     // A node whose sample count reaches its row count cannot learn more.
     if (d_total_ >= m) continue;
-    if (mins[static_cast<size_t>(i)] >= eps) return false;
+    if (mins[static_cast<size_t>(i)] >= eps) ++failing;
   }
-  return true;
+  return failing;
 }
 
 } // namespace h2sketch::core::detail

@@ -40,8 +40,9 @@ class H2SketchBuilder {
   /// One adaptive round while processing `level`: sample, sweep through the
   /// completed levels below, extend the current level's Y_loc.
   void add_sample_round(index_t level);
-  /// True iff every node at `level` passes the convergence probe.
-  bool level_converged(index_t level);
+  /// Number of nodes at `level` that fail the convergence probe (0 once
+  /// the level has converged).
+  index_t unconverged_nodes(index_t level);
   real_t eps_abs() const;
 
   // --- inputs ---

@@ -61,10 +61,10 @@ ConstructionResult H2SketchBuilder::run() {
     for (index_t l = leaf; l >= 1; --l) {
       extend_yloc(l, 0, d_total_);
       if (opts_.adaptive) {
-        while (!level_converged(l)) {
+        while (const index_t failing = unconverged_nodes(l)) {
           if (d_total_ + opts_.sample_block > opts_.max_samples) {
             // Cap reached: count offenders and proceed with what we have.
-            ++stats_.nonconverged_nodes;
+            stats_.nonconverged_nodes += failing;
             break;
           }
           add_sample_round(l);
@@ -301,6 +301,10 @@ ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const kern::EntryGenerator& gen, const ConstructionOptions& opts,
                                 batched::ExecutionContext& ctx) {
   detail::H2SketchBuilder builder(std::move(tree), adm, sampler, gen, opts, ctx);
+  // The builder's launches reference its sampling panels; if construction
+  // unwinds (e.g. an injected device fault), drain the streams before the
+  // builder -- declared above the fence -- is destroyed.
+  batched::StreamFence fence(ctx);
   return builder.run();
 }
 

@@ -33,9 +33,9 @@ void KernelMatVecSampler::sample(ConstMatrixView omega, MatrixView y) {
   const const_index_span all_cols(iota_);
   const index_t num_strips = (n_ + strip - 1) / strip;
 
-  if (runtime_mode() == RuntimeMode::FlatOpenMP || ThreadPool::global().width() <= 1) {
-    // Baseline / single-lane path: serial strip loop, one reused buffer
-    // sized to the widest strip actually taken.
+  if (ThreadPool::global().width() <= 1) {
+    // Single-lane path: serial strip loop, one reused buffer sized to the
+    // widest strip actually taken.
     Matrix row_block(std::min(strip, n_), n_);
     for (index_t r0 = 0; r0 < n_; r0 += strip) {
       const index_t m = std::min(strip, n_ - r0);

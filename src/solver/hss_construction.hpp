@@ -11,25 +11,15 @@
 #include "solver/hss_matrix.hpp"
 
 /// \file hss_construction.hpp
-/// Genuine bottom-up sketching-based HSS construction (Martinsson 2011, the
-/// paper's reference [29]) producing the dedicated HssMatrix storage — the
-/// weak-admissibility algorithm the paper extends to strongly-admissible H2.
-///
-/// Same black-box inputs as Algorithm 1 (a sketching operator Y = K Omega
-/// and a batched entry generator), same adaptive sampling loop, but the
-/// weak-admissibility structure is hard-wired: the only near-field blocks
-/// are the leaf diagonals and every level carries exactly one coupling block
-/// per sibling pair. Processing runs level by level from the leaves on
-/// ExecutionContext streams:
-///   1. assemble local samples Y_loc (subtract the leaf diagonal at the
-///      leaves, the child pair coupling above);
-///   2. adaptively add sample rounds until every node passes the
-///      min |diag R| convergence probe, replaying new columns through the
-///      completed levels;
-///   3. batched row-ID the samples into generators (U at leaves, stacked
-///      transfers above) and skeleton indices;
-///   4. sweep samples and random vectors up;
-///   5. evaluate the sibling-pair coupling blocks at the skeletons.
+/// Bottom-up sketching HSS construction (Martinsson 2011, the paper's
+/// reference [29]) producing the dedicated HssMatrix storage. Under weak
+/// admissibility the paper's Algorithm 1 *is* this construction, so
+/// build_hss runs core::construct_h2 with tree::Admissibility::weak() and
+/// hands the result's arenas over to HssMatrix: bases, leaf diagonals
+/// (the weak near field), ranks and skeletons move unchanged, and each
+/// level's coupling keeps one block per sibling pair -- the (2p, 2p+1)
+/// block B_p; the mirrored (2p+1, 2p) block is B_p^T and is dropped. The
+/// hand-over checks the weak pattern instead of assuming it.
 
 namespace h2sketch::solver {
 
@@ -38,7 +28,9 @@ struct HssResult {
   core::ConstructionStats stats;
 };
 
-/// Run the bottom-up HSS construction under the given execution context.
+/// Run Algorithm 1 under weak admissibility in the given execution context
+/// and hand the result over to HssMatrix. stats.memory_bytes counts the
+/// HssMatrix (one block per sibling pair).
 HssResult build_hss(std::shared_ptr<const tree::ClusterTree> tree, kern::MatVecSampler& sampler,
                     const kern::EntryGenerator& gen, const core::ConstructionOptions& opts,
                     batched::ExecutionContext& ctx);

@@ -1,42 +1,10 @@
 #include "solver/hss_matrix.hpp"
 
-#include <algorithm>
-
 #include "backend/registry.hpp"
 #include "batched/batched_gemm.hpp"
 #include "la/blas.hpp"
 
 namespace h2sketch::solver {
-
-void HssMatrix::init_structure() {
-  const index_t levels = num_levels();
-  ranks.assign(static_cast<size_t>(levels), {});
-  generators = std::vector<backend::BlockArena>(static_cast<size_t>(levels));
-  coupling = std::vector<backend::BlockArena>(static_cast<size_t>(levels));
-  skeleton.assign(static_cast<size_t>(levels), {});
-  for (index_t l = 0; l < levels; ++l) {
-    const index_t nodes = tree->nodes_at(l);
-    ranks[static_cast<size_t>(l)].assign(static_cast<size_t>(nodes), 0);
-    generators[static_cast<size_t>(l)].reset(nodes);
-    skeleton[static_cast<size_t>(l)].assign(static_cast<size_t>(nodes), {});
-    coupling[static_cast<size_t>(l)].reset(l >= 1 ? nodes / 2 : 0);
-  }
-  leaf_diag.reset(tree->nodes_at(leaf_level()));
-}
-
-index_t HssMatrix::min_rank() const {
-  index_t mn = size();
-  for (index_t l = 1; l < num_levels(); ++l)
-    for (index_t r : ranks[static_cast<size_t>(l)]) mn = std::min(mn, r);
-  return num_levels() > 1 ? mn : 0;
-}
-
-index_t HssMatrix::max_rank() const {
-  index_t mx = 0;
-  for (index_t l = 1; l < num_levels(); ++l)
-    for (index_t r : ranks[static_cast<size_t>(l)]) mx = std::max(mx, r);
-  return mx;
-}
 
 std::size_t HssMatrix::memory_bytes() const {
   std::size_t bytes = 0;

@@ -68,13 +68,6 @@ class HssMatrix {
     return ranks[static_cast<size_t>(level)][static_cast<size_t>(node)];
   }
 
-  /// Allocate empty per-level containers sized to the tree.
-  void init_structure();
-
-  /// Smallest/largest rank over all nodes at levels >= 1.
-  index_t min_rank() const;
-  index_t max_rank() const;
-
   /// Logical payload bytes of U/E/B/D blocks plus skeleton index lists.
   std::size_t memory_bytes() const;
 

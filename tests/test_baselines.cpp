@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "baselines/hss.hpp"
+#include <cstring>
+
 #include "baselines/peeling_hodlr.hpp"
 #include "baselines/topdown.hpp"
 #include "common/random.hpp"
@@ -9,6 +10,7 @@
 #include "kernels/dense_sampler.hpp"
 #include "kernels/kernels.hpp"
 #include "la/blas.hpp"
+#include "solver/hss_construction.hpp"
 #include "test_common.hpp"
 
 namespace h2sketch::baselines {
@@ -103,19 +105,33 @@ TEST(Hss, WeakAdmissibilityViaAlgorithmOne) {
   opts.tol = 1e-8;
   opts.sample_block = 16;
   opts.initial_samples = 32;
-  auto res = construct_hss(tr, sampler, gen, opts);
+  auto res = solver::build_hss(tr, sampler, gen, opts);
   EXPECT_LT(rel_fro_error(res.matrix.densify().view(), kd.view()), 1e-6);
   EXPECT_EQ(res.stats.csp, 1);
 }
 
-TEST(Hss, MatchesWeakAdmissibilityConstructH2ToTolerance) {
-  // The explicit behavioral diff ROADMAP promised: construct_hss is no
-  // longer the thin construct_h2(Admissibility::weak()) wrapper pinned by
-  // the retired Hss.IsExactlyWeakAdmissibilityConstructH2 test — it now
-  // builds dedicated HSS generator storage (solver::HssMatrix) through the
-  // solver subsystem. Both constructions compress the same operator with
-  // the same tolerance, so their densified matrices must agree to that
-  // tolerance (relative to ||K||), but not bitwise.
+/// Same dims and the same bit pattern in every entry.
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i)
+      if (std::memcmp(&a(i, j), &b(i, j), sizeof(real_t)) != 0) return false;
+  return true;
+}
+
+Matrix transposed(const Matrix& a) {
+  Matrix t(a.cols(), a.rows());
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) t(j, i) = a(i, j);
+  return t;
+}
+
+TEST(Hss, IsExactlyWeakAdmissibilityConstructH2) {
+  // build_hss is Algorithm 1 under weak admissibility plus a hand-over of
+  // the arenas: ranks, skeletons, generators, leaf diagonals and every B_p
+  // are the weak construct_h2 build's, bit for bit, and the H2 build's
+  // mirrored slot 2p+1 is exactly B_p^T -- the symmetry that lets HssMatrix
+  // keep one block per sibling pair.
   auto tr = test_util::build_cube_tree(512, 1, 47, 32);
   kern::ExponentialKernel k(0.5);
   const Matrix kd = dense_kernel_matrix(*tr, k);
@@ -127,22 +143,40 @@ TEST(Hss, MatchesWeakAdmissibilityConstructH2ToTolerance) {
   opts.initial_samples = 32;
 
   kern::DenseMatrixSampler s_hss(kd.view()), s_h2(kd.view());
-  auto r_hss = construct_hss(tr, s_hss, gen_hss, opts);
+  auto r_hss = solver::build_hss(tr, s_hss, gen_hss, opts);
   auto r_h2 = core::construct_h2(tr, Admissibility::weak(), s_h2, gen_h2, opts);
+  const solver::HssMatrix& hss = r_hss.matrix;
+  const h2::H2Matrix& h2m = r_h2.matrix;
 
-  const Matrix d_hss = r_hss.matrix.densify();
-  const Matrix d_h2 = h2::densify(r_h2.matrix);
-  // Each approximates K to ~tol; they agree with each other to the same
-  // order. A structural regression in either shows up orders above this.
-  EXPECT_LT(rel_fro_error(d_hss.view(), d_h2.view()), 100 * opts.tol);
-  EXPECT_LT(rel_fro_error(d_hss.view(), kd.view()), 100 * opts.tol);
-  // Weak admissibility == HSS structure: coupling sparsity constant 1.
+  ASSERT_GT(tr->leaf_level(), 1);
+  EXPECT_EQ(hss.ranks, h2m.ranks);
+  EXPECT_EQ(hss.skeleton, h2m.skeleton);
+  for (index_t l = 1; l < tr->num_levels(); ++l) {
+    const auto ul = static_cast<size_t>(l);
+    for (index_t i = 0; i < tr->nodes_at(l); ++i)
+      EXPECT_TRUE(same_bits(hss.generators[ul].host(i), h2m.basis[ul].host(i)))
+          << "generator " << l << "," << i;
+    for (index_t p = 0; p < tr->nodes_at(l) / 2; ++p) {
+      ASSERT_EQ(h2m.mtree.far[ul].col_at(2 * p, 0), 2 * p + 1);
+      ASSERT_EQ(h2m.mtree.far[ul].col_at(2 * p + 1, 0), 2 * p);
+      const Matrix& b = hss.coupling[ul].host(p);
+      EXPECT_TRUE(same_bits(b, h2m.coupling[ul].host(2 * p))) << "B " << l << "," << p;
+      EXPECT_TRUE(same_bits(transposed(b), h2m.coupling[ul].host(2 * p + 1)))
+          << "mirror " << l << "," << p;
+    }
+  }
+  const index_t leaf = tr->leaf_level();
+  for (index_t i = 0; i < tr->nodes_at(leaf); ++i)
+    EXPECT_TRUE(same_bits(hss.leaf_diag.host(i), h2m.dense.host(i))) << "diagonal " << i;
+
+  // Same run: same samples, rounds and launches. Only the memory figure
+  // differs, because the H2 build stores each sibling block twice.
+  EXPECT_EQ(r_hss.stats.total_samples, r_h2.stats.total_samples);
+  EXPECT_EQ(r_hss.stats.sample_rounds, r_h2.stats.sample_rounds);
+  EXPECT_EQ(r_hss.stats.kernel_launches, r_h2.stats.kernel_launches);
   EXPECT_EQ(r_hss.stats.csp, 1);
-  // Same adaptive machinery on the same operator: ranks land in the same
-  // ballpark (identical convergence probe, identical tolerance).
-  EXPECT_NEAR(static_cast<double>(r_hss.stats.max_rank),
-              static_cast<double>(r_h2.stats.max_rank),
-              0.5 * static_cast<double>(r_h2.stats.max_rank));
+  EXPECT_EQ(r_hss.stats.memory_bytes, hss.memory_bytes());
+  EXPECT_LT(r_hss.stats.memory_bytes, r_h2.stats.memory_bytes);
 }
 
 TEST(Hss, BottomUpNeedsFarFewerSamplesThanTopDownPeeling) {
@@ -159,7 +193,7 @@ TEST(Hss, BottomUpNeedsFarFewerSamplesThanTopDownPeeling) {
   bu.tol = 1e-6;
   bu.sample_block = 16;
   bu.initial_samples = 32;
-  auto r_bu = construct_hss(tr, s_bu, gen, bu);
+  auto r_bu = solver::build_hss(tr, s_bu, gen, bu);
 
   kern::DenseMatrixSampler s_td(kd.view());
   TopDownOptions td;

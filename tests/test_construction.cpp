@@ -178,6 +178,26 @@ TEST(SketchConstruction, AdaptiveAddsRoundsWhenBlockIsSmall) {
   EXPECT_LT(rel_fro_error(h2::densify(res.matrix).view(), kd.view()), 1e-6);
 }
 
+TEST(SketchConstruction, SampleCapCountsEveryNonConvergedNode) {
+  // No room for a second round at tol 1e-12: every node still failing the
+  // probe when the cap stops the loop is counted, so the count exceeds the
+  // number of levels (a per-level count could not).
+  auto tr = test_util::build_cube_tree(800, 2, 64, 32);
+  kern::ExponentialKernel k(0.3);
+  const Matrix kd = dense_kernel_matrix(*tr, k);
+  kern::DenseMatrixSampler sampler(kd.view());
+  kern::KernelEntryGenerator gen(*tr, k);
+  ConstructionOptions opts;
+  opts.tol = 1e-12;
+  opts.sample_block = 8;
+  opts.initial_samples = 8;
+  opts.max_samples = 8;
+  auto res = construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts);
+  ASSERT_TRUE(res.matrix.mtree.has_any_far());
+  EXPECT_EQ(res.stats.sample_rounds, 1);
+  EXPECT_GT(res.stats.nonconverged_nodes, tr->num_levels());
+}
+
 TEST(SketchConstruction, WeakAdmissibilityGivesHssBehaviour) {
   // Algorithm 1 under weak admissibility is Martinsson's HSS construction;
   // 1D geometry keeps HSS ranks small.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
@@ -124,21 +123,6 @@ TEST(Determinism, BatchedRandIsScheduleInvariant) {
   const Matrix a = fill_with(1), b = fill_with(2), c = fill_with(4);
   EXPECT_EQ(max_abs_diff(a.view(), b.view()), 0.0);
   EXPECT_EQ(max_abs_diff(a.view(), c.view()), 0.0);
-}
-
-TEST(Determinism, FlatAndStreamRuntimesAgreeBitwise) {
-  // The stream runtime (async launches, cost-aware chunking, parallel GEMM
-  // panels) must be a pure scheduling change: building in FlatOpenMP
-  // baseline mode and in Streams mode gives bitwise-identical output.
-  set_runtime_mode(RuntimeMode::FlatOpenMP);
-  const BuildOutput flat = build_with_threads(2);
-  set_runtime_mode(RuntimeMode::Streams);
-  const BuildOutput streams = build_with_threads(2);
-  EXPECT_EQ(flat.total_samples, streams.total_samples);
-  EXPECT_EQ(flat.sample_rounds, streams.sample_rounds);
-  EXPECT_EQ(flat.ranks_per_level, streams.ranks_per_level);
-  EXPECT_EQ(max_abs_diff(flat.dense.view(), streams.dense.view()), 0.0);
-  EXPECT_EQ(max_abs_diff(flat.matvec.view(), streams.matvec.view()), 0.0);
 }
 
 /// Outputs of one HSS-ULV build + solve that could betray a scheduling

@@ -12,6 +12,10 @@
 #include "solver/hss_construction.hpp"
 #include "test_common.hpp"
 
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
 /// \file test_proxy_sampler.cpp
 /// The proxy-point sampler (O(N d) sketching): surrogate accuracy against
 /// the dense kernel matrix, proxy-vs-exact construction agreement at the
@@ -43,6 +47,54 @@ TEST(ProxySurrogate, ApproximatesTheDenseKernelMatrix) {
   // The surrogate carries the proxy-ID error floor; well inside the
   // envelope the construction tolerance budgets for it.
   EXPECT_LT(rel_fro_error(sd.view(), kd.view()), 1e-4);
+}
+
+TEST(ProxySurrogate, RepeatedBuildsOnAFourWidePoolAgreeBitwise) {
+  // Regression: the near-field generate launch used to run while the proxy
+  // shells were still being appended to the coordinate table it reads, so a
+  // reallocation pulled the table out from under the launch. Width 4 makes
+  // the launches asynchronous whatever the runner's core count.
+#if defined(_OPENMP)
+  const int prev = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  const index_t n = 1200;
+  auto tr = test_util::build_cube_tree(n, 2, 77, 32);
+  kern::ExponentialKernel k(0.2);
+  kern::ProxySamplerOptions popts;
+  popts.tol = 1e-6;
+  const Matrix omega = random_matrix(n, 4, 13);
+
+  Matrix y_first(n, 4);
+  index_t points_first = 0;
+  for (int rep = 0; rep < 6; ++rep) {
+    kern::ProxyMatVecSampler sampler(tr, k, popts);
+    Matrix y(n, 4);
+    sampler.sample(omega.view(), y.view());
+    if (rep == 0) {
+      y_first = std::move(y);
+      points_first = sampler.proxy_points_used();
+      continue;
+    }
+    EXPECT_EQ(sampler.proxy_points_used(), points_first) << "rep " << rep;
+    EXPECT_EQ(max_abs_diff(y.view(), y_first.view()), 0.0) << "rep " << rep;
+  }
+  EXPECT_GT(points_first, 0);
+#if defined(_OPENMP)
+  omp_set_num_threads(prev);
+#endif
+}
+
+TEST(ProxySurrogate, NoFarFieldLaysOutNoProxyPoints) {
+  // A tree too shallow for any admissible pair keeps the exact near field
+  // only: no proxy geometry is laid out for it.
+  auto tr = test_util::build_cube_tree(48, 3, 5, 32);
+  kern::ExponentialKernel k(0.2);
+  kern::ProxyMatVecSampler sampler(tr, k, kern::ProxySamplerOptions{});
+  ASSERT_FALSE(sampler.surrogate().mtree.has_any_far());
+  EXPECT_EQ(sampler.proxy_points_used(), 0);
+  const Matrix kd = dense_kernel_matrix(*tr, k);
+  EXPECT_LT(rel_fro_error(h2::densify(sampler.surrogate()).view(), kd.view()), 1e-14);
 }
 
 TEST(ProxySurrogate, SampleMatchesExactOracleToSurrogateAccuracy) {

@@ -137,17 +137,5 @@ TEST(ThreadPool, GlobalPoolFollowsNumThreads) {
   EXPECT_EQ(ThreadPool::global().width(), std::max(1, num_threads()));
 }
 
-TEST(ThreadPool, RuntimeModeToggleRoundTrips) {
-  ASSERT_EQ(runtime_mode(), RuntimeMode::Streams);
-  set_runtime_mode(RuntimeMode::FlatOpenMP);
-  EXPECT_EQ(runtime_mode(), RuntimeMode::FlatOpenMP);
-  // Flat mode must still compute correctly through the same entry point.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](index_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  set_runtime_mode(RuntimeMode::Streams);
-}
-
 } // namespace
 } // namespace h2sketch
