@@ -2,6 +2,7 @@
 
 #include "h2/h2_entry_eval.hpp"
 #include "h2/h2_matvec.hpp"
+#include "la/blas.hpp"
 #include "la/lowrank.hpp"
 
 /// \file update_sampler.hpp
@@ -44,9 +45,11 @@ class UpdatedH2EntryGenerator final : public kern::EntryGenerator {
   void generate_block(const_index_span rows, const_index_span cols,
                       MatrixView out) const override {
     base_.generate_block(rows, cols, out);
-    for (index_t j = 0; j < out.cols; ++j)
-      for (index_t i = 0; i < out.rows; ++i)
-        out(i, j) += lr_->entry(rows[static_cast<size_t>(i)], cols[static_cast<size_t>(j)]);
+    // + U(rows, :) V(cols, :)^T on the gathered factor rows.
+    Matrix u(out.rows, lr_->rank()), v(out.cols, lr_->rank());
+    gather_rows(lr_->u.view(), rows, u.view());
+    gather_rows(lr_->v.view(), cols, v.view());
+    la::gemm(1.0, u.view(), la::Op::None, v.view(), la::Op::Trans, 1.0, out);
     record_entries(out.rows * out.cols);
   }
 

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -66,6 +69,32 @@ inline real_t rel_fro_error(ConstMatrixView approx, ConstMatrixView exact) {
   return la::norm_f(diff.view()) / la::norm_f(exact);
 }
 
+/// Largest entry error of `out` against the (rows, cols) block of the dense
+/// reference `ref`. Returns +inf as soon as a difference is not finite, so a
+/// NaN fails every `<= tol` check (a plain running std::max would drop it).
+inline real_t block_error(ConstMatrixView out, ConstMatrixView ref, const_index_span rows,
+                          const_index_span cols) {
+  Matrix want(out.rows, out.cols);
+  gather_block(ref, rows, cols, want.view());
+  real_t err = 0.0;
+  for (index_t j = 0; j < out.cols; ++j)
+    for (index_t i = 0; i < out.rows; ++i) {
+      const real_t e = std::abs(out(i, j) - want(i, j));
+      if (!std::isfinite(e)) return std::numeric_limits<real_t>::infinity();
+      err = std::max(err, e);
+    }
+  return err;
+}
+
+/// Evaluates the (rows, cols) block through `gen` and returns its
+/// block_error against the dense reference `ref`.
+inline real_t block_error(const kern::EntryGenerator& gen, ConstMatrixView ref,
+                          const_index_span rows, const_index_span cols) {
+  Matrix out(static_cast<index_t>(rows.size()), static_cast<index_t>(cols.size()));
+  gen.generate_block(rows, cols, out.view());
+  return block_error(out.view(), ref, rows, cols);
+}
+
 /// Cluster tree over n uniform random points in the unit dim-cube.
 inline tree::ClusterTree cube_tree(index_t n, index_t dim, std::uint64_t seed,
                                    index_t leaf_size) {
@@ -77,6 +106,13 @@ inline std::shared_ptr<tree::ClusterTree> build_cube_tree(index_t n, index_t dim
                                                           std::uint64_t seed,
                                                           index_t leaf_size) {
   return std::make_shared<tree::ClusterTree>(cube_tree(n, dim, seed, leaf_size));
+}
+
+/// Positions of node (l, i) of `t`, in tree order.
+inline std::vector<index_t> node_positions(const tree::ClusterTree& t, index_t l, index_t i) {
+  std::vector<index_t> p;
+  for (index_t q = t.begin(l, i); q < t.end(l, i); ++q) p.push_back(q);
+  return p;
 }
 
 /// Dense kernel matrix in tree-permuted ordering: the O(N^2) ground truth

@@ -9,8 +9,10 @@
 #include "common/timer.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
+#include "h2/cheb_construction.hpp"
 #include "h2/h2_dense.hpp"
 #include "h2/h2_matvec.hpp"
+#include "h2/update_sampler.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/kernels.hpp"
 #include "solver/hss_construction.hpp"
@@ -49,7 +51,13 @@ struct BuildOutput {
   std::vector<index_t> ranks_per_level;
 };
 
-BuildOutput build_with_threads(int threads) {
+/// What the construction compresses.
+enum class Input {
+  Kernel, ///< the exponential kernel matrix: dense sampler, kernel entries
+  Update, ///< Fig. 5(c): a Chebyshev H2 plus U U^T, sampled and evaluated from the H2
+};
+
+BuildOutput build_with_threads(int threads, Input input) {
 #if defined(_OPENMP)
   const int prev = omp_get_max_threads();
   omp_set_num_threads(threads);
@@ -58,15 +66,25 @@ BuildOutput build_with_threads(int threads) {
 #endif
   auto tr = test_util::build_cube_tree(600, 2, 404, 16);
   kern::ExponentialKernel k(0.2);
-  const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
-  kern::DenseMatrixSampler sampler(kd.view());
-  kern::KernelEntryGenerator gen(*tr, k);
   ConstructionOptions opts;
   opts.tol = 1e-7;
   opts.sample_block = 16;
   opts.initial_samples = 32;
   batched::ExecutionContext ctx(batched::Backend::Batched);
-  auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
+  core::ConstructionResult res;
+  if (input == Input::Kernel) {
+    const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
+    kern::DenseMatrixSampler sampler(kd.view());
+    kern::KernelEntryGenerator gen(*tr, k);
+    res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
+  } else {
+    const h2::H2Matrix base = h2::build_cheb_h2(tr, Admissibility::general(0.7), k, 4);
+    la::LowRank update = la::random_lowrank(600, 600, 8, 0.05, 405);
+    update.v = to_matrix(update.u.view());
+    h2::UpdatedH2Sampler sampler(base, update);
+    h2::UpdatedH2EntryGenerator gen(base, update);
+    res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
+  }
 
   BuildOutput out;
   out.dense = h2::densify(res.matrix);
@@ -86,20 +104,25 @@ BuildOutput build_with_threads(int threads) {
 }
 
 TEST(Determinism, ConstructionIsBitwiseIdenticalAcrossThreadCounts) {
-  const BuildOutput ref = build_with_threads(1);
-  ASSERT_GT(ref.total_samples, 0);
-  for (int threads : {2, 4}) {
-    const BuildOutput got = build_with_threads(threads);
-    // Adaptive control flow: identical sample counts and rounds mean every
-    // node made the same convergence decisions in the same order.
-    EXPECT_EQ(got.total_samples, ref.total_samples) << threads << " threads";
-    EXPECT_EQ(got.sample_rounds, ref.sample_rounds) << threads << " threads";
-    EXPECT_EQ(got.min_rank, ref.min_rank) << threads << " threads";
-    EXPECT_EQ(got.max_rank, ref.max_rank) << threads << " threads";
-    EXPECT_EQ(got.ranks_per_level, ref.ranks_per_level) << threads << " threads";
-    // Bitwise: zero tolerance, not "close".
-    EXPECT_EQ(max_abs_diff(got.dense.view(), ref.dense.view()), 0.0) << threads << " threads";
-    EXPECT_EQ(max_abs_diff(got.matvec.view(), ref.matvec.view()), 0.0) << threads << " threads";
+  for (Input input : {Input::Kernel, Input::Update}) {
+    const char* what = input == Input::Kernel ? "kernel input, " : "H2 update input, ";
+    const BuildOutput ref = build_with_threads(1, input);
+    ASSERT_GT(ref.total_samples, 0) << what;
+    for (int threads : {2, 4}) {
+      const BuildOutput got = build_with_threads(threads, input);
+      // Adaptive control flow: identical sample counts and rounds mean every
+      // node made the same convergence decisions in the same order.
+      EXPECT_EQ(got.total_samples, ref.total_samples) << what << threads << " threads";
+      EXPECT_EQ(got.sample_rounds, ref.sample_rounds) << what << threads << " threads";
+      EXPECT_EQ(got.min_rank, ref.min_rank) << what << threads << " threads";
+      EXPECT_EQ(got.max_rank, ref.max_rank) << what << threads << " threads";
+      EXPECT_EQ(got.ranks_per_level, ref.ranks_per_level) << what << threads << " threads";
+      // Bitwise: zero tolerance, not "close".
+      EXPECT_EQ(max_abs_diff(got.dense.view(), ref.dense.view()), 0.0)
+          << what << threads << " threads";
+      EXPECT_EQ(max_abs_diff(got.matvec.view(), ref.matvec.view()), 0.0)
+          << what << threads << " threads";
+    }
   }
 }
 

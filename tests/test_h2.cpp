@@ -16,7 +16,9 @@
 namespace h2sketch::h2 {
 namespace {
 
+using test_util::block_error;
 using test_util::dense_kernel_matrix;
+using test_util::node_positions;
 using test_util::rel_fro_error;
 
 struct ChebCase {
@@ -72,7 +74,10 @@ TEST_P(ChebH2, EntryEvalMatchesDensify) {
 TEST_P(ChebH2, BlockEntryEvalMatchesDensify) {
   const Matrix ad = densify(a_);
   const H2EntryGenerator gen(a_);
-  const index_t n = tree_->num_points();
+  const tree::ClusterTree& t = *tree_;
+  const index_t n = t.num_points();
+
+  // A random mixed block crossing near, far and subdivided pairs.
   SmallRng rng(17);
   std::vector<index_t> rows, cols;
   for (int i = 0; i < 7; ++i) rows.push_back(rng.next_index(n));
@@ -82,6 +87,39 @@ TEST_P(ChebH2, BlockEntryEvalMatchesDensify) {
   for (index_t i = 0; i < 7; ++i)
     for (index_t j = 0; j < 5; ++j)
       EXPECT_NEAR(out(i, j), ad(rows[static_cast<size_t>(i)], cols[static_cast<size_t>(j)]), test_util::kEntryTol);
+
+  // Every near-leaf block as whole leaves: the dense-block requests of a
+  // construction.
+  const index_t leaf = t.leaf_level();
+  const tree::LevelBlockList& near = a_.mtree.near_leaf;
+  for (index_t r = 0; r < t.nodes_at(leaf); ++r)
+    for (index_t j = 0; j < near.row_count(r); ++j) {
+      const index_t c = near.col_at(r, j);
+      EXPECT_LE(block_error(gen, ad.view(), node_positions(t, leaf, r), node_positions(t, leaf, c)),
+                test_util::kEntryTol)
+          << "near block (" << r << "," << c << ")";
+    }
+
+  // Every far block at every level on a shuffled every-other-position subset
+  // of each node, spanning all of its leaves: the shape of the coupling
+  // (skeleton) requests.
+  SmallRng shuffle(18);
+  const auto subset = [&](index_t l, index_t i) {
+    std::vector<index_t> p;
+    for (index_t q = t.begin(l, i); q < t.end(l, i); q += 2) p.push_back(q);
+    for (size_t q = p.size(); q > 1; --q)
+      std::swap(p[q - 1], p[static_cast<size_t>(shuffle.next_index(static_cast<index_t>(q)))]);
+    return p;
+  };
+  for (index_t l = 0; l <= leaf; ++l) {
+    const tree::LevelBlockList& far = a_.mtree.far[static_cast<size_t>(l)];
+    for (index_t r = 0; r < t.nodes_at(l); ++r)
+      for (index_t j = 0; j < far.row_count(r); ++j) {
+        const index_t c = far.col_at(r, j);
+        EXPECT_LE(block_error(gen, ad.view(), subset(l, r), subset(l, c)), test_util::kEntryTol)
+            << "far block (" << r << "," << c << ") at level " << l;
+      }
+  }
 }
 
 TEST_P(ChebH2, ValidatePassesAndMemoryIsAccounted) {
@@ -119,10 +157,13 @@ TEST(H2Sampler, CountsSamplesAndMatchesMatvec) {
 }
 
 TEST(UpdatedH2, SamplerAndEntryGenAreConsistent) {
-  auto tr = test_util::build_cube_tree(150, 3, 24, 32);
+  // 2D with leaf 16: far blocks at two levels, the upper one spanning two
+  // leaves per node.
+  const index_t n = 300;
+  auto tr = test_util::build_cube_tree(n, 2, 24, 16);
   kern::ExponentialKernel k(0.2);
   const H2Matrix a = build_cheb_h2(tr, tree::Admissibility::general(0.7), k, 4);
-  const la::LowRank lr = la::random_lowrank(150, 150, 8, 0.5, 99);
+  const la::LowRank lr = la::random_lowrank(n, n, 8, 0.5, 99);
 
   UpdatedH2Sampler sampler(a, lr);
   UpdatedH2EntryGenerator gen(a, lr);
@@ -130,10 +171,10 @@ TEST(UpdatedH2, SamplerAndEntryGenAreConsistent) {
   // Dense reference: densify(a) + lr.
   Matrix ref = densify(a);
   const Matrix lrd = lr.densify();
-  for (index_t j = 0; j < 150; ++j)
-    for (index_t i = 0; i < 150; ++i) ref(i, j) += lrd(i, j);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i) ref(i, j) += lrd(i, j);
 
-  Matrix omega(150, 3), y(150, 3), yref(150, 3);
+  Matrix omega(n, 3), y(n, 3), yref(n, 3);
   fill_gaussian(omega.view(), GaussianStream(25));
   sampler.sample(omega.view(), y.view());
   la::gemm(1.0, ref.view(), la::Op::None, omega.view(), la::Op::None, 0.0, yref.view());
@@ -141,12 +182,28 @@ TEST(UpdatedH2, SamplerAndEntryGenAreConsistent) {
 
   SmallRng rng(26);
   for (int trial = 0; trial < 100; ++trial) {
-    const index_t i = rng.next_index(150), j = rng.next_index(150);
+    const index_t i = rng.next_index(n), j = rng.next_index(n);
     Matrix out(1, 1);
     std::vector<index_t> ri = {i}, cj = {j};
     gen.generate_block(ri, cj, out.view());
     EXPECT_NEAR(out(0, 0), ref(i, j), test_util::kEntryTol);
   }
+
+  // Whole blocks: the first near-leaf block and the first far block.
+  const index_t leaf = tr->leaf_level();
+  const tree::LevelBlockList& near = a.mtree.near_leaf;
+  EXPECT_LE(block_error(gen, ref.view(), node_positions(*tr, leaf, 0),
+                        node_positions(*tr, leaf, near.col_at(0, 0))),
+            test_util::kEntryTol);
+  ASSERT_TRUE(a.mtree.has_any_far());
+  index_t l = 0;
+  while (a.mtree.far[static_cast<size_t>(l)].empty()) ++l;
+  const tree::LevelBlockList& far = a.mtree.far[static_cast<size_t>(l)];
+  index_t r = 0;
+  while (far.row_count(r) == 0) ++r;
+  EXPECT_LE(block_error(gen, ref.view(), node_positions(*tr, l, r),
+                        node_positions(*tr, l, far.col_at(r, 0))),
+            test_util::kEntryTol);
 }
 
 TEST(H2Matrix, SingleLevelDenseOnlyMatrixWorks) {

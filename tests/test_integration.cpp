@@ -52,6 +52,38 @@ TEST(Integration, FullPipelineMatvecAgreesWithInputOperator) {
   EXPECT_LT(std::sqrt(diff / ref), 1e-5);
 }
 
+/// Largest difference between each whole near and far block of `a`, as
+/// H2EntryGenerator evaluates it, and the same block of densify(a). The
+/// blocks are evaluated before anything else reads the arenas' host mirrors,
+/// so the first evaluations download them cold.
+real_t whole_block_error(const h2::H2Matrix& a) {
+  const tree::ClusterTree& t = *a.tree;
+  struct Block {
+    std::vector<index_t> rows, cols;
+    Matrix out;
+  };
+  std::vector<Block> blocks;
+  const auto add_blocks = [&](index_t l, const tree::LevelBlockList& list) {
+    for (index_t r = 0; r < t.nodes_at(l); ++r)
+      for (index_t j = 0; j < list.row_count(r); ++j) {
+        Block b{test_util::node_positions(t, l, r), test_util::node_positions(t, l, list.col_at(r, j)),
+                Matrix()};
+        b.out.resize(static_cast<index_t>(b.rows.size()), static_cast<index_t>(b.cols.size()));
+        blocks.push_back(std::move(b));
+      }
+  };
+  add_blocks(t.leaf_level(), a.mtree.near_leaf);
+  for (index_t l = 0; l < t.num_levels(); ++l) add_blocks(l, a.mtree.far[static_cast<size_t>(l)]);
+  const h2::H2EntryGenerator eg(a);
+  for (Block& b : blocks) eg.generate_block(b.rows, b.cols, b.out.view());
+
+  const Matrix dense = h2::densify(a);
+  real_t err = 0.0;
+  for (const Block& b : blocks)
+    err = std::max(err, test_util::block_error(b.out.view(), dense.view(), b.rows, b.cols));
+  return err;
+}
+
 TEST(Integration, EntryEvalOfSketchBuiltMatrixMatchesDensify) {
   // The constructed H2 has non-uniform, possibly zero ranks; its entry
   // generator must still reproduce every entry.
@@ -63,6 +95,7 @@ TEST(Integration, EntryEvalOfSketchBuiltMatrixMatchesDensify) {
   opts.tol = 1e-8;
   auto res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts);
   ASSERT_TRUE(res.matrix.mtree.has_any_far());
+  EXPECT_LE(whole_block_error(res.matrix), test_util::kEntryTol);
 
   const Matrix dense = h2::densify(res.matrix);
   h2::H2EntryGenerator eg(res.matrix);
@@ -144,6 +177,9 @@ TEST(Integration, HugeToleranceYieldsTinyRanksButValidStructure) {
   Matrix x(500, 1), y(500, 1);
   fill_gaussian(x.view(), GaussianStream(70));
   EXPECT_NO_THROW(h2::h2_matvec(res.matrix, x.view(), y.view()));
+  // Far blocks with a rank-0 side: block evaluation runs its gemms with k = 0.
+  ASSERT_EQ(res.matrix.min_rank(), 0);
+  EXPECT_LE(whole_block_error(res.matrix), test_util::kEntryTol);
 }
 
 TEST(Integration, SamplerSizeMismatchThrows) {
