@@ -15,9 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "geometry/point_cloud.hpp"
 #include "kernels/dense_sampler.hpp"
@@ -160,9 +162,14 @@ int main(int argc, char** argv) {
   const char* json_name = smoke ? "BENCH_hss_solve_smoke.json" : "BENCH_hss_solve.json";
   std::ofstream json(json_name);
   json << "{\n  \"bench\": \"hss_solve\",\n  \"mode\": \"" << (smoke ? "smoke" : "full")
-       << "\",\n  \"workload\": \"2D cloud, exponential kernel (l=0.2) + ridge 10 "
+       << "\",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ",\n  \"threads\": " << num_threads()
+       << ",\n  \"workload\": \"2D cloud, exponential kernel (l=0.2) + ridge 10 "
        << "(regularized GP covariance), tol=1e-6, leaf=64\",\n  \"residual_metric\": "
        << "\"||K x - b|| / ||b|| against the exact operator via O(N^2) kernel apply\","
+       << "\n  \"note\": \"hss_build_s, ulv_factor_s and the solves run on a pool of "
+       << "`threads`; dense_chol_s and dense_solve_s are the single-threaded la::cholesky and "
+       << "la::cholesky_solve\","
        << "\n  \"runs\": [\n";
   for (size_t i = 0; i < all.size(); ++i) {
     const auto& m = all[i];

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "la/blas.hpp"
+
 namespace h2sketch::la {
 
 namespace {
@@ -39,6 +41,48 @@ void apply_reflector(MatrixView a, index_t k, real_t tau, index_t j0) {
   }
 }
 
+/// Compact-WY form of the jb reflectors stored in columns k0..k0+jb-1 of a
+/// geqrf-layout `qr` (tau their scalars): H_k0 ... H_{k0+jb-1} = I - V T V^T
+/// on rows k0.., with V unit lower trapezoidal and T upper triangular
+/// (LAPACK larft, forward columnwise). V is held explicitly, with VT = V T,
+/// so Q_b^T X = X - V (X^T VT)^T and X Q_b = X - (X VT) V^T are two
+/// products each.
+struct BlockReflector {
+  Matrix v;  ///< (qr.rows - k0) x jb: unit diagonal, zeros above it
+  Matrix vt; ///< V T
+};
+
+BlockReflector block_reflector(ConstMatrixView qr, const real_t* tau, index_t k0, index_t jb) {
+  const index_t mb = qr.rows - k0;
+  BlockReflector h{Matrix(mb, jb), Matrix(mb, jb)};
+  for (index_t c = 0; c < jb; ++c) {
+    h.v(c, c) = 1.0;
+    for (index_t r = c + 1; r < mb; ++r) h.v(r, c) = qr(k0 + r, k0 + c);
+  }
+  // T(i, i) = tau_i and T(0:i, i) = -tau_i T(0:i, 0:i) V(:, 0:i)^T v_i,
+  // where v_i is zero above row i.
+  Matrix t(jb, jb);
+  std::vector<real_t> w(static_cast<size_t>(jb));
+  for (index_t i = 0; i < jb; ++i) {
+    t(i, i) = tau[i];
+    if (tau[i] == 0.0) continue;
+    const real_t* vi = h.v.data() + i * mb;
+    for (index_t p = 0; p < i; ++p) {
+      const real_t* vp = h.v.data() + p * mb;
+      real_t s = 0.0;
+      for (index_t r = i; r < mb; ++r) s += vp[r] * vi[r];
+      w[static_cast<size_t>(p)] = s;
+    }
+    for (index_t p = 0; p < i; ++p) {
+      real_t s = 0.0;
+      for (index_t q = p; q < i; ++q) s += t(p, q) * w[static_cast<size_t>(q)];
+      t(p, i) = -tau[i] * s;
+    }
+  }
+  gemm_parallel(1.0, h.v.view(), Op::None, t.view(), Op::None, 0.0, h.vt.view());
+  return h;
+}
+
 } // namespace
 
 void householder_qr(MatrixView a, std::vector<real_t>& tau) {
@@ -63,6 +107,48 @@ void householder_qr_continue(MatrixView a, std::vector<real_t>& tau, index_t fro
   for (index_t k = kdone; k < kmax; ++k) {
     tau[static_cast<size_t>(k)] = make_reflector(a.data + k + k * a.ld, a.rows - k);
     apply_reflector(a, k, tau[static_cast<size_t>(k)], k + 1);
+  }
+}
+
+void householder_qr_blocked(MatrixView a, std::vector<real_t>& tau) {
+  const index_t m = a.rows, n = a.cols;
+  const index_t kmax = std::min(m, n);
+  tau.assign(static_cast<size_t>(kmax), 0.0);
+  std::vector<real_t> panel_tau;
+  Matrix w;
+  for (index_t k0 = 0; k0 < kmax; k0 += kQrPanel) {
+    const index_t jb = std::min(kQrPanel, kmax - k0);
+    householder_qr(a.block(k0, k0, m - k0, jb), panel_tau);
+    std::copy(panel_tau.begin(), panel_tau.end(), tau.begin() + k0);
+    const index_t n2 = n - k0 - jb;
+    if (n2 == 0) continue;
+    // Trailing columns: A2 := Q_b^T A2 = A2 - V (A2^T VT)^T.
+    const BlockReflector h = block_reflector(a, tau.data() + k0, k0, jb);
+    MatrixView a2 = a.block(k0, k0 + jb, m - k0, n2);
+    w.resize(n2, jb);
+    gemm_parallel(1.0, a2, Op::Trans, h.vt.view(), Op::None, 0.0, w.view());
+    gemm_parallel(-1.0, h.v.view(), Op::None, w.view(), Op::Trans, 1.0, a2);
+  }
+}
+
+void apply_qt_d_q(ConstMatrixView qr, const std::vector<real_t>& tau, MatrixView d) {
+  const index_t m = qr.rows;
+  H2S_CHECK(d.rows == m && d.cols == m, "apply_qt_d_q: shape mismatch");
+  const index_t k = static_cast<index_t>(tau.size());
+  // Q^T d Q = Q_p^T ... Q_0^T d Q_0 ... Q_p: rotate by one panel at a time.
+  // Panel b acts on indices k0.. only: rows k0.. from the left, columns k0..
+  // from the right.
+  Matrix w;
+  for (index_t k0 = 0; k0 < k; k0 += kQrPanel) {
+    const index_t jb = std::min(kQrPanel, k - k0), mb = m - k0;
+    const BlockReflector h = block_reflector(qr, tau.data() + k0, k0, jb);
+    w.resize(m, jb);
+    MatrixView rows = d.row_range(k0, mb);
+    gemm_parallel(1.0, rows, Op::Trans, h.vt.view(), Op::None, 0.0, w.view());
+    gemm_parallel(-1.0, h.v.view(), Op::None, w.view(), Op::Trans, 1.0, rows);
+    MatrixView cols = d.col_range(k0, mb);
+    gemm_parallel(1.0, cols, Op::None, h.vt.view(), Op::None, 0.0, w.view());
+    gemm_parallel(-1.0, w.view(), Op::None, h.v.view(), Op::Trans, 1.0, cols);
   }
 }
 

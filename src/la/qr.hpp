@@ -26,6 +26,22 @@ void householder_qr(MatrixView a, std::vector<real_t>& tau);
 /// because each appended column sees the same reflectors in the same order.
 void householder_qr_continue(MatrixView a, std::vector<real_t>& tau, index_t from);
 
+/// Panel width of the blocked (level-3) QR kernels below.
+inline constexpr index_t kQrPanel = 32;
+
+/// Blocked Householder QR with householder_qr's layout and contract
+/// (LAPACK geqrf): each kQrPanel-column panel is factored by householder_qr,
+/// then its reflectors are applied to the trailing columns at once in
+/// compact-WY form, I - V T V^T, as two gemm_parallel products. R and the
+/// stored reflectors agree with householder_qr to rounding, not bitwise.
+void householder_qr_blocked(MatrixView a, std::vector<real_t>& tau);
+
+/// Two-sided rotation d := Q^T d Q of the square d (d.rows == qr.rows) by
+/// the Q of householder_qr or householder_qr_blocked output: per kQrPanel
+/// panel of reflectors, one compact-WY update from the left and one from the
+/// right, each two gemm_parallel products.
+void apply_qt_d_q(ConstMatrixView qr, const std::vector<real_t>& tau, MatrixView d);
+
 /// Apply Q^T (from householder_qr of `qr`) to B in place: B := Q^T B.
 void apply_q_transpose(ConstMatrixView qr, const std::vector<real_t>& tau, MatrixView b);
 

@@ -17,17 +17,6 @@ namespace h2sketch::solver {
 
 namespace {
 
-/// Right-multiply B := B Q for the packed Householder Q of `qr`:
-/// B Q = (Q^T B^T)^T, materialized through an explicit transpose.
-void apply_q_right(ConstMatrixView qr, const std::vector<real_t>& tau, MatrixView b) {
-  Matrix bt(b.cols, b.rows);
-  for (index_t j = 0; j < b.cols; ++j)
-    for (index_t i = 0; i < b.rows; ++i) bt(j, i) = b(i, j);
-  la::apply_q_transpose(qr, tau, bt.view());
-  for (index_t j = 0; j < b.cols; ++j)
-    for (index_t i = 0; i < b.rows; ++i) b(i, j) = bt(j, i);
-}
-
 /// Merge a sibling pair into the parent-local (or root) diagonal:
 /// dst = [S_1, R_1 B R_2^T; (.)^T, S_2] from the children's Schur
 /// complements, reduced generators and the pair's coupling block. Operates
@@ -101,9 +90,11 @@ void assemble_and_rotate(const HssMatrix& a, const std::vector<std::vector<UlvNo
   }
 
   // Rotate: G = Q [R; 0]; Dh = Q^T D Q; R becomes the reduced generator.
-  la::householder_qr(qr, nd.tau);
-  la::apply_q_transpose(qr, nd.tau, dhat);
-  apply_q_right(qr, nd.tau, dhat);
+  // Both steps are level-3 (blocked QR, compact-WY rotation) and split their
+  // products over the pool, so the few large nodes of the top levels do not
+  // each run on one worker.
+  la::householder_qr_blocked(qr, nd.tau);
+  la::apply_qt_d_q(qr, nd.tau, dhat);
   MatrixView ut = pa.dev(2 * nnodes + i);
   for (index_t jj = 0; jj < r; ++jj)
     for (index_t ii = 0; ii <= jj && ii < r; ++ii) ut(ii, jj) = qr(ii, jj);
@@ -196,15 +187,18 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
     // children's S/R panels, written by the previous level's launches on the
     // same stream — FIFO order is the level barrier.
     UlvNode* nodes_ptr = lvl.data();
-    ctx.run_batch(
-        stream, nodes,
-        [nodes_ptr](index_t i) {
-          const index_t n = nodes_ptr[i].n_loc;
-          return n * n * n + 1;
-        },
-        [&a, &f, l, ridge, nodes_ptr](index_t i) {
-          assemble_and_rotate(a, f.nodes_, f.panels_, l, i, ridge, nodes_ptr[i]);
-        });
+    {
+      obs::ScopedLaunchLabel label("ulv_compress");
+      ctx.run_batch(
+          stream, nodes,
+          [nodes_ptr](index_t i) {
+            const index_t n = nodes_ptr[i].n_loc;
+            return n * n * n + 1;
+          },
+          [&a, &f, l, ridge, nodes_ptr](index_t i) {
+            assemble_and_rotate(a, f.nodes_, f.panels_, l, i, ridge, nodes_ptr[i]);
+          });
+    }
 
     // Launches 2-4: eliminate the interior blocks — batched potrf on Dh_zz,
     // batched right-side trsm for W = Dh_sz Lz^{-T}, batched gemm for the
@@ -235,9 +229,10 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
   // Root: marshal the level-1 Schur complements and reduced generators back
   // to the host (four explicit device → host copies), merge and factor the
   // reduced root system densely host-side — the classic small-root-on-host
-  // pattern of GPU multilevel factorizations.
-  obs::TraceSpan root_span("solver", "ulv_root");
+  // pattern of GPU multilevel factorizations. The span opens after the
+  // sync, so it times the root alone, not the levels' queued work.
   ctx.sync(stream);
+  obs::TraceSpan root_span("solver", "ulv_root");
   const UlvNode& c1 = f.nodes_[1][0];
   const UlvNode& c2 = f.nodes_[1][1];
   const backend::BlockArena& p1 = f.panels_[1]; // 2 nodes: dhat at 2+i, utilde at 4+i

@@ -29,6 +29,16 @@
 /// trsm / gemm from batched_solve.hpp); FIFO stream order replaces explicit
 /// level barriers, so independent nodes overlap while the numerics stay
 /// bitwise identical for every thread count.
+///
+/// Steps 1-2 (the `ulv_compress` launch) are level-3: a blocked Householder
+/// QR (la::householder_qr_blocked) and a compact-WY two-sided rotation
+/// (la::apply_qt_d_q), whose products run on la::gemm_parallel. Its tiles
+/// depend on the shape alone, so the top levels, one or two nodes per
+/// launch task, split their work over the pool without losing bitwise
+/// determinism. la::householder_qr stays level-2 because the adaptive
+/// probe's continuation is pinned bitwise to it, and the solve sweeps keep
+/// the level-2 apply_q_transpose / apply_q because they rotate only 1-16
+/// right-hand sides.
 
 namespace h2sketch::solver {
 

@@ -15,6 +15,7 @@
 #include "h2/update_sampler.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/kernels.hpp"
+#include "la/qr.hpp"
 #include "solver/hss_construction.hpp"
 #include "solver/ulv.hpp"
 #include "test_common.hpp"
@@ -155,17 +156,29 @@ struct UlvOutput {
   Matrix root;       ///< dense root factor of the ULV form
   Matrix solve_one;  ///< single-RHS solve result
   Matrix solve_many; ///< 3-RHS batched solve result
+  std::vector<std::pair<index_t, index_t>> level1; ///< (n_loc, rank) of the level-1 nodes
 };
 
-UlvOutput build_ulv_with_threads(int threads) {
+/// What the ULV suite factors.
+enum class UlvInput {
+  Small2d, ///< N = 600 in 2D, leaf 16: top nodes up to ~133 x 79
+  Cube3d,  ///< N = 1024 in 3D, leaf 32: level-1 nodes wide enough that the
+           ///< blocked compress runs several QR panels and splits its
+           ///< products over the pool (gemm_parallel) inside the launch
+};
+
+UlvOutput build_ulv_with_threads(int threads, UlvInput input) {
 #if defined(_OPENMP)
   const int prev = omp_get_max_threads();
   omp_set_num_threads(threads);
 #else
   (void)threads;
 #endif
-  auto tr = test_util::build_cube_tree(600, 2, 505, 16);
-  kern::ExponentialKernel base(0.25);
+  const bool small = input == UlvInput::Small2d;
+  const index_t n = small ? 600 : 1024;
+  auto tr = small ? test_util::build_cube_tree(n, 2, 505, 16)
+                  : test_util::build_cube_tree(n, 3, 515, 32);
+  kern::ExponentialKernel base(small ? 0.25 : 0.2);
   kern::RidgeKernel k(base, 1.0);
   const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
   kern::DenseMatrixSampler sampler(kd.view());
@@ -181,11 +194,12 @@ UlvOutput build_ulv_with_threads(int threads) {
   UlvOutput out;
   out.dense = res.matrix.densify();
   out.root = to_matrix(f.root_factor().view());
-  Matrix b1(600, 1), bn(600, 3);
+  for (index_t i = 0; i < 2; ++i) out.level1.emplace_back(f.node(1, i).n_loc, f.node(1, i).rank);
+  Matrix b1(n, 1), bn(n, 3);
   fill_gaussian(b1.view(), GaussianStream(606));
   fill_gaussian(bn.view(), GaussianStream(607));
-  out.solve_one.resize(600, 1);
-  out.solve_many.resize(600, 3);
+  out.solve_one.resize(n, 1);
+  out.solve_many.resize(n, 3);
   f.solve_many(b1.view(), out.solve_one.view(), ctx);
   f.solve_many(bn.view(), out.solve_many.view(), ctx);
 #if defined(_OPENMP)
@@ -196,19 +210,34 @@ UlvOutput build_ulv_with_threads(int threads) {
 
 TEST(UlvDeterminism, FactorsAndSolvesAreBitwiseIdenticalAcrossThreadCounts) {
   // The solver subsystem rides the same stream runtime as the construction:
-  // cost-derived chunk boundaries, per-node arithmetic order fixed. ULV
-  // factor panels and solve outputs must be bitwise identical at any pool
-  // width, with streams enabled (Batched backend).
-  const UlvOutput ref = build_ulv_with_threads(1);
-  ASSERT_GT(ref.root.rows(), 0);
-  for (int threads : {2, 4}) {
-    const UlvOutput got = build_ulv_with_threads(threads);
-    EXPECT_EQ(max_abs_diff(got.dense.view(), ref.dense.view()), 0.0) << threads << " threads";
-    EXPECT_EQ(max_abs_diff(got.root.view(), ref.root.view()), 0.0) << threads << " threads";
-    EXPECT_EQ(max_abs_diff(got.solve_one.view(), ref.solve_one.view()), 0.0)
-        << threads << " threads";
-    EXPECT_EQ(max_abs_diff(got.solve_many.view(), ref.solve_many.view()), 0.0)
-        << threads << " threads";
+  // cost-derived chunk boundaries, per-node arithmetic order fixed, and the
+  // products nested inside a launch (gemm_parallel) tiled by shape alone.
+  // ULV factor panels and solve outputs must be bitwise identical at any
+  // pool width, with streams enabled (Batched backend).
+  for (UlvInput input : {UlvInput::Small2d, UlvInput::Cube3d}) {
+    const char* what = input == UlvInput::Small2d ? "2D N=600, " : "3D N=1024, ";
+    const UlvOutput ref = build_ulv_with_threads(1, input);
+    ASSERT_GT(ref.root.rows(), 0) << what;
+    if (input == UlvInput::Cube3d) {
+      // The input must keep reaching the nested fan-out: level-1 nodes with
+      // n_loc >= 256 (two or more 128-row gemm tiles) and more than four
+      // QR panels.
+      for (const auto& [n_loc, rank] : ref.level1) {
+        EXPECT_GE(n_loc, 256) << what;
+        EXPECT_GT(rank, 4 * la::kQrPanel) << what;
+      }
+    }
+    for (int threads : {2, 4}) {
+      const UlvOutput got = build_ulv_with_threads(threads, input);
+      EXPECT_EQ(max_abs_diff(got.dense.view(), ref.dense.view()), 0.0)
+          << what << threads << " threads";
+      EXPECT_EQ(max_abs_diff(got.root.view(), ref.root.view()), 0.0)
+          << what << threads << " threads";
+      EXPECT_EQ(max_abs_diff(got.solve_one.view(), ref.solve_one.view()), 0.0)
+          << what << threads << " threads";
+      EXPECT_EQ(max_abs_diff(got.solve_many.view(), ref.solve_many.view()), 0.0)
+          << what << threads << " threads";
+    }
   }
 }
 
