@@ -8,14 +8,17 @@
 /// The same construction also runs on the SimulatedDevice backend, which
 /// keeps the sketching state in a separate device heap behind explicit
 /// copies: its launch count must be identical to the batched CPU run (the
-/// dispatch table only changes who owns memory), and its host<->device
+/// backend only changes who owns memory), and its host<->device
 /// byte counters report the marshaling traffic a PCIe bus would carry.
 /// Results go to BENCH_ablation_launches.json.
 
 #include <fstream>
+#include <thread>
 
 #include "backend/registry.hpp"
+#include "batched/device.hpp"
 #include "bench_common.hpp"
+#include "common/random.hpp"
 
 using namespace h2sketch;
 using namespace h2sketch::bench;
@@ -60,15 +63,15 @@ int main(int argc, char** argv) {
     Run r;
     r.n = n;
 
-    batched::ExecutionContext cb(backend::make_backend("cpu"));
+    batched::ExecutionContext cb(backend::shared_backend("cpu"));
     auto rb = core::construct_h2(w.tree, tree::Admissibility::general(eta), *w.sampler,
                                  *w.entry_gen, opts, cb);
-    batched::ExecutionContext cn(backend::make_backend("naive"));
+    batched::ExecutionContext cn(backend::shared_backend("naive"));
     auto rn = core::construct_h2(w.tree, tree::Admissibility::general(eta), *w.sampler,
                                  *w.entry_gen, opts, cn);
-    batched::ExecutionContext cs(backend::make_backend("simdevice"));
-    // make_backend now hands out the process-wide shared simdevice, so its
-    // stats counters accumulate across runs: report per-run deltas.
+    batched::ExecutionContext cs(backend::shared_backend("simdevice"));
+    // shared_backend hands out the process-wide simdevice, so its stats
+    // counters accumulate across runs: report per-run deltas.
     const auto dstats0 = cs.device().stats();
     auto rs = core::construct_h2(w.tree, tree::Admissibility::general(eta), *w.sampler,
                                  *w.entry_gen, opts, cs);
@@ -127,7 +130,8 @@ int main(int argc, char** argv) {
   std::ofstream json(json_name);
   json << "{\n  \"bench\": \"ablation_launches\",\n  \"mode\": \""
        << (smoke ? "smoke" : (large ? "large" : "full"))
-       << "\",\n  \"workload\": \"3D cube covariance, exponential kernel, tol=1e-6, leaf="
+       << "\",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ",\n  \"workload\": \"3D cube covariance, exponential kernel, tol=1e-6, leaf="
        << leaf << ", eta=" << eta
        << "\",\n  \"note\": \"launches_simdevice must equal launches_batched (the device "
        << "backend changes memory ownership, not launch structure); bytes_* are the "

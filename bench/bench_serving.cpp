@@ -33,25 +33,23 @@ namespace {
 struct ModeResult {
   double seconds = 0.0;
   double ops_per_s = 0.0;
+  // Client-observed latency quantiles: per-client KLL sketches merged
+  // after the run (~1% rank error).
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  // Sketch-backed quantiles: per-client KLL sketches merged after the run
-  // (~1% rank error vs the histogram's ~19% log-bucket width).
-  double sketch_p50_ms = 0.0;
-  double sketch_p99_ms = 0.0;
   double mean_batch = 1.0;
   std::uint64_t batches = 0;
   std::uint64_t flush_full = 0;
   std::uint64_t flush_timeout = 0;
 };
 
-/// Merge per-client sketches into one and fill the sketch quantile fields.
-void fill_sketch_quantiles(ModeResult& r, std::vector<obs::QuantileSketch>& per_client) {
+/// Merge per-client sketches into one and fill the quantile fields.
+void fill_quantiles(ModeResult& r, const std::vector<obs::QuantileSketch>& per_client) {
   obs::QuantileSketch merged;
   for (const auto& sk : per_client) merged.merge(sk);
   if (merged.empty()) return;
-  r.sketch_p50_ms = merged.quantile(0.50) * 1e3;
-  r.sketch_p99_ms = merged.quantile(0.99) * 1e3;
+  r.p50_ms = merged.quantile(0.50) * 1e3;
+  r.p99_ms = merged.quantile(0.99) * 1e3;
 }
 
 Matrix client_inputs(index_t n, int clients, std::uint64_t seed) {
@@ -67,7 +65,6 @@ ModeResult run_per_request(serve::ServedOperator& op, serve::RequestKind kind, i
   const index_t n = op.size();
   const Matrix xs = client_inputs(n, clients, 42);
   Matrix ys(n, clients);
-  serve::LatencyHistogram hist;
   std::vector<obs::QuantileSketch> sketches(static_cast<size_t>(clients));
   WallTimer timer;
   std::vector<std::thread> threads;
@@ -82,9 +79,7 @@ ModeResult run_per_request(serve::ServedOperator& op, serve::RequestKind kind, i
           op.matrix.matvec(ctx, x, y);
         else
           op.factor.solve_many(x, y, ctx);
-        const double dt = wall_seconds() - t0;
-        hist.record(dt);
-        sketches[static_cast<size_t>(c)].update(dt);
+        sketches[static_cast<size_t>(c)].update(wall_seconds() - t0);
       }
     });
   for (auto& t : threads) t.join();
@@ -92,9 +87,7 @@ ModeResult run_per_request(serve::ServedOperator& op, serve::RequestKind kind, i
   ModeResult r;
   r.seconds = timer.elapsed();
   r.ops_per_s = static_cast<double>(clients) * per_client / r.seconds;
-  r.p50_ms = hist.quantile(0.50) * 1e3;
-  r.p99_ms = hist.quantile(0.99) * 1e3;
-  fill_sketch_quantiles(r, sketches);
+  fill_quantiles(r, sketches);
   r.batches = static_cast<std::uint64_t>(clients) * static_cast<std::uint64_t>(per_client);
   return r;
 }
@@ -115,7 +108,6 @@ ModeResult run_coalesced(serve::OperatorHandle op, serve::RequestKind kind, int 
   opts.lanes = clients > 8 ? 2 : 1;
   serve::Coalescer co(opts);
 
-  serve::LatencyHistogram hist;
   std::vector<obs::QuantileSketch> sketches(static_cast<size_t>(clients));
   WallTimer timer;
   std::vector<std::thread> threads;
@@ -126,9 +118,7 @@ ModeResult run_coalesced(serve::OperatorHandle op, serve::RequestKind kind, int 
       for (int r = 0; r < per_client; ++r) {
         const double t0 = wall_seconds();
         co.submit(op, kind, x, y).get();
-        const double dt = wall_seconds() - t0;
-        hist.record(dt);
-        sketches[static_cast<size_t>(c)].update(dt);
+        sketches[static_cast<size_t>(c)].update(wall_seconds() - t0);
       }
     });
   for (auto& t : threads) t.join();
@@ -137,9 +127,7 @@ ModeResult run_coalesced(serve::OperatorHandle op, serve::RequestKind kind, int 
   ModeResult r;
   r.seconds = timer.elapsed();
   r.ops_per_s = static_cast<double>(clients) * per_client / r.seconds;
-  r.p50_ms = hist.quantile(0.50) * 1e3;
-  r.p99_ms = hist.quantile(0.99) * 1e3;
-  fill_sketch_quantiles(r, sketches);
+  fill_quantiles(r, sketches);
   const serve::MetricsSnapshot after = op->metrics->snapshot();
   r.batches = after.batches - before.batches;
   r.flush_full = after.flush_full - before.flush_full;
@@ -339,13 +327,14 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"serving\",\n  \"mode\": \"" << (smoke ? "smoke" : "full")
        << "\",\n  \"workload\": \"3D cube, exponential+ridge kernel (SPD), tol=1e-6, leaf=32, "
        << "one cached ULV-factored HSS operator, closed-loop clients\",\n  \"n\": " << n
+       << ",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
        << ",\n  \"build_seconds\": " << fmt(build_seconds, 4)
        << ",\n  \"operator_bytes\": " << op->bytes
        << ",\n  \"note\": \"per_request = one blocked-size-1 launch per request on a per-client "
        << "context; coalesced = requests batched into one solve_many/blocked-matvec launch per "
        << "tick (max_batch=clients capped at 64, max_delay=2ms, 2 lanes above 8 clients). "
-       << "Latencies are client-observed: p50/p99 from the log-bucket histogram (~19% bucket "
-       << "width), sketch_p50/p99 from merged per-client KLL sketches (~1% rank error). "
+       << "Latencies are client-observed: p50/p99 from merged per-client KLL sketches (~1% "
+       << "rank error). "
        << "steady_state: per-apply host<->device byte deltas after warmup on a "
        << "simdevice-resident copy of the operator — uploads equal the x panel exactly\",\n"
        << "  \"steady_state\": {\"matvec_bytes_to_device_per_apply\": " << ss.matvec_h2d
@@ -361,14 +350,10 @@ int main(int argc, char** argv) {
          << ", \"requests\": " << r.requests
          << ", \"per_request\": {\"ops_per_s\": " << fmt(r.per_request.ops_per_s, 5)
          << ", \"p50_ms\": " << fmt(r.per_request.p50_ms, 4)
-         << ", \"p99_ms\": " << fmt(r.per_request.p99_ms, 4)
-         << ", \"sketch_p50_ms\": " << fmt(r.per_request.sketch_p50_ms, 4)
-         << ", \"sketch_p99_ms\": " << fmt(r.per_request.sketch_p99_ms, 4) << "}"
+         << ", \"p99_ms\": " << fmt(r.per_request.p99_ms, 4) << "}"
          << ", \"coalesced\": {\"ops_per_s\": " << fmt(r.coalesced.ops_per_s, 5)
          << ", \"p50_ms\": " << fmt(r.coalesced.p50_ms, 4)
          << ", \"p99_ms\": " << fmt(r.coalesced.p99_ms, 4)
-         << ", \"sketch_p50_ms\": " << fmt(r.coalesced.sketch_p50_ms, 4)
-         << ", \"sketch_p99_ms\": " << fmt(r.coalesced.sketch_p99_ms, 4)
          << ", \"batches\": " << r.coalesced.batches
          << ", \"mean_batch\": " << fmt(r.coalesced.mean_batch, 4)
          << ", \"flush_full\": " << r.coalesced.flush_full

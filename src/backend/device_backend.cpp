@@ -2,41 +2,11 @@
 
 #include "obs/trace.hpp"
 
-#include <array>
 #include <cstring>
 
 #include "common/check.hpp"
 
 namespace h2sketch::backend {
-
-namespace {
-
-constexpr std::array<OpKind, 11> kAllOps = {
-    OpKind::Gemm,      OpKind::GatherRows,   OpKind::BsrGemm,   OpKind::MinRDiag,
-    OpKind::MinRDiagUpdate, OpKind::RowId,   OpKind::FillGaussian, OpKind::Transpose,
-    OpKind::Potrf,     OpKind::TrsmLower,    OpKind::EntryGen,
-};
-
-} // namespace
-
-std::string_view op_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::Gemm: return "batched_gemm";
-    case OpKind::GatherRows: return "batched_gather_rows";
-    case OpKind::BsrGemm: return "bsr_gemm";
-    case OpKind::MinRDiag: return "batched_min_r_diag";
-    case OpKind::MinRDiagUpdate: return "batched_min_r_diag_update";
-    case OpKind::RowId: return "batched_row_id";
-    case OpKind::FillGaussian: return "batched_fill_gaussian";
-    case OpKind::Transpose: return "batched_transpose";
-    case OpKind::Potrf: return "batched_potrf";
-    case OpKind::TrsmLower: return "batched_trsm_lower";
-    case OpKind::EntryGen: return "batched_generate";
-  }
-  return "unknown";
-}
-
-std::span<const OpKind> all_ops() { return kAllOps; }
 
 void DeviceBuffer::release() {
   if (ptr_ != nullptr && backend_ != nullptr) {

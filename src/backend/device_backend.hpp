@@ -4,37 +4,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <utility>
-#include <vector>
 
-#include "backend/fwd.hpp"
 #include "common/matrix.hpp"
-#include "common/random.hpp"
-#include "kernels/entry_gen.hpp"
-#include "la/blas.hpp"
-#include "la/id.hpp"
 
 /// \file device_backend.hpp
-/// The pluggable device-backend seam of the library (paper §IV-A).
+/// The device memory model of the library (paper §IV-A).
 ///
-/// A `DeviceBackend` owns the two halves of what a GPU runtime provides:
+/// A `DeviceBackend` is what a GPU runtime provides besides its kernels:
+/// `DeviceBuffer` allocation from a backend-owned heap, explicit
+/// host↔device and device↔device copies, and a zero-fill primitive (the
+/// cudaMalloc / cudaMemcpy / cudaMemset analogues). On `CpuBackend` device
+/// memory *is* host memory; on `SimulatedDevice` it is a separate heap that
+/// host code must not dereference directly.
 ///
-///  1. **A device memory model** — `DeviceBuffer` allocation from a
-///     backend-owned heap, explicit host↔device and device↔device copies,
-///     and a zero-fill primitive (the cudaMalloc / cudaMemcpy / cudaMemset
-///     analogues). On `CpuBackend` device memory *is* host memory; on
-///     `SimulatedDevice` it is a separate heap that host code must not
-///     dereference directly.
-///
-///  2. **The batched primitive set** — every batched operation the H2
-///     construction, matvec and ULV solver launch (gemm, gather_rows,
-///     bsr_gemm, min-R-diag QR probe, row ID, Gaussian fill, transpose,
-///     potrf, trsm, kernel entry generation) as named, dispatchable virtual
-///     ops. The free functions in src/batched/ are thin wrappers that
-///     dispatch through this table, so a CUDA/HIP backend drops in by
-///     overriding ops without touching any call site.
+/// The batched primitives themselves are the free functions in
+/// src/batched/ (and `kern::batched_generate`): each runs its batch as
+/// `ExecutionContext` launches and reports the call to its context's
+/// backend through `on_launch`, the hook a decorator overrides to simulate
+/// failed kernel launches.
 ///
 /// Compute that touches device memory may only run inside a **kernel
 /// scope** (`kernel_scope()`): the RAII handle brackets the body of a
@@ -55,32 +44,6 @@ enum class LaunchMode {
   Batched ///< one launch per level per operation: O(Csp log N) launches
 };
 
-/// Which side of the unknown the triangular matrix sits on in a trsm.
-enum class TrsmSide { Left, Right };
-
-/// The named batched primitives a backend dispatches. One entry per virtual
-/// op on DeviceBackend; `op_name` / `all_ops` let tests and tools iterate
-/// the dispatch table without knowing the ops ahead of time.
-enum class OpKind {
-  Gemm,         ///< non-uniform batched C = alpha op(A) op(B) + beta C
-  GatherRows,   ///< dst[i] = src[i](rows[i], :) — the paper's batchedShrink
-  BsrGemm,      ///< block-sparse-row accumulation, <= Csp sub-launches
-  MinRDiag,       ///< min |diag(R)| QR probe (adaptive convergence test)
-  MinRDiagUpdate, ///< incremental MinRDiag over appended sample columns
-  RowId,        ///< batched row interpolative decomposition
-  FillGaussian, ///< counter-based batched Gaussian generation
-  Transpose,    ///< batched out[i] = in[i]^T
-  Potrf,        ///< batched in-place lower Cholesky
-  TrsmLower,    ///< batched lower-triangular solve (left/right)
-  EntryGen,     ///< batched kernel entry generation (batchedGen)
-};
-
-/// Stable primitive name for logs, benches and registry-driven tests.
-std::string_view op_name(OpKind kind);
-
-/// Every op in the dispatch table, in declaration order.
-std::span<const OpKind> all_ops();
-
 /// Monotonic counters a backend records about its memory traffic. All
 /// byte counts are cumulative since construction.
 struct DeviceStatsSnapshot {
@@ -95,10 +58,9 @@ struct DeviceStatsSnapshot {
 
 class DeviceBackend;
 
-/// A runnable backend configuration: the device backend that owns memory
-/// and primitive implementations, plus the launch-granularity mode. The
-/// registry (backend/registry.hpp) maps names ("cpu", "naive",
-/// "simdevice") to these.
+/// A runnable backend configuration: the device backend that owns memory,
+/// plus the launch-granularity mode. The registry (backend/registry.hpp)
+/// maps names ("cpu", "naive", "simdevice") to these.
 struct ExecutionConfig {
   std::shared_ptr<DeviceBackend> device;
   LaunchMode mode = LaunchMode::Batched;
@@ -160,10 +122,10 @@ class KernelScope {
   const DeviceBackend* b_;
 };
 
-/// Abstract device backend: memory model + batched-primitive dispatch
-/// table. Always create concrete backends through their factory functions
-/// (make_cpu_backend / make_sim_device) or the registry — DeviceBuffers
-/// keep their backend alive through shared ownership.
+/// Abstract device backend: the memory model plus the launch hook. Always
+/// create concrete backends through their factory functions
+/// (make_cpu_backend / make_sim_device) or the registry — DeviceBuffers keep
+/// their backend alive through shared ownership.
 class DeviceBackend : public std::enable_shared_from_this<DeviceBackend> {
  public:
   virtual ~DeviceBackend() = default;
@@ -206,63 +168,11 @@ class DeviceBackend : public std::enable_shared_from_this<DeviceBackend> {
 
   DeviceStatsSnapshot stats() const;
 
-  // --- batched primitive dispatch table -----------------------------------
-
-  /// Whether the backend implements a primitive (all built-ins implement
-  /// the full table; a partial accelerator backend may not).
-  virtual bool supports(OpKind) const { return true; }
-
-  virtual void gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
-                    std::vector<ConstMatrixView> a, la::Op op_a, std::vector<ConstMatrixView> b,
-                    la::Op op_b, real_t beta, std::vector<MatrixView> c) = 0;
-
-  virtual void gather_rows(batched::ExecutionContext& ctx, batched::StreamId stream,
-                           std::vector<ConstMatrixView> src,
-                           std::vector<std::vector<index_t>> rows,
-                           std::vector<MatrixView> dst) = 0;
-
-  virtual index_t bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
-                           std::vector<index_t> row_ptr, std::vector<index_t> col,
-                           std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
-                           std::vector<MatrixView> y) = 0;
-
-  virtual void min_r_diag(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> a,
-                          std::span<real_t> out) = 0;
-
-  /// Incremental MinRDiag: work[i] holds a Householder-factored prefix of
-  /// factored[i] columns (reflector scalars in tau[i]) followed by freshly
-  /// appended sample columns. Extends the factorization in place over the
-  /// new columns (tau[i] grows) and writes min |diag(R)| to out[i] —
-  /// bitwise identical to min_r_diag of the full panel, at
-  /// O(m k dn + m dn^2) instead of O(m d^2) per probe.
-  virtual void min_r_diag_update(batched::ExecutionContext& ctx, std::span<const MatrixView> work,
-                                 std::span<const index_t> factored,
-                                 std::span<std::vector<real_t>> tau, std::span<real_t> out) = 0;
-
-  virtual void row_id(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> y,
-                      real_t abs_tol, index_t max_rank, std::span<la::RowID> out) = 0;
-
-  virtual void fill_gaussian(batched::ExecutionContext& ctx, MatrixView a,
-                             const GaussianStream& stream, std::uint64_t offset) = 0;
-
-  virtual void fill_gaussian_blocks(batched::ExecutionContext& ctx,
-                                    std::span<const MatrixView> blocks,
-                                    const GaussianStream& stream,
-                                    std::span<const std::uint64_t> offsets) = 0;
-
-  virtual void transpose(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> in,
-                         std::span<const MatrixView> out) = 0;
-
-  virtual void potrf(batched::ExecutionContext& ctx, batched::StreamId stream,
-                     std::vector<MatrixView> a) = 0;
-
-  virtual void trsm_lower(batched::ExecutionContext& ctx, batched::StreamId stream, TrsmSide side,
-                          la::Op op, std::vector<ConstMatrixView> l,
-                          std::vector<MatrixView> b) = 0;
-
-  virtual void generate(batched::ExecutionContext& ctx, batched::StreamId stream,
-                        const kern::EntryGenerator& gen,
-                        std::vector<kern::BlockRequest> requests) = 0;
+  /// Called once by every batched primitive on the issuing thread, after
+  /// its trace label and span and before its checks and launch, with the
+  /// primitive's name — the injection point a decorator overrides to
+  /// simulate failed kernel launches. No-op by default.
+  virtual void on_launch(std::string_view op) const { (void)op; }
 
  protected:
   DeviceBackend() = default;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -207,94 +208,8 @@ void FaultInjectingDevice::on_transfer(std::size_t bytes) const {
   visit_point(FaultSite::Copy, "transfer", bytes);
 }
 
-void FaultInjectingDevice::gemm(batched::ExecutionContext& ctx, batched::StreamId stream,
-                                real_t alpha, std::vector<ConstMatrixView> a, la::Op op_a,
-                                std::vector<ConstMatrixView> b, la::Op op_b, real_t beta,
-                                std::vector<MatrixView> c) {
-  visit_point(FaultSite::Launch, op_name(OpKind::Gemm), 0);
-  inner_->gemm(ctx, stream, alpha, std::move(a), op_a, std::move(b), op_b, beta, std::move(c));
-}
-
-void FaultInjectingDevice::gather_rows(batched::ExecutionContext& ctx, batched::StreamId stream,
-                                       std::vector<ConstMatrixView> src,
-                                       std::vector<std::vector<index_t>> rows,
-                                       std::vector<MatrixView> dst) {
-  visit_point(FaultSite::Launch, op_name(OpKind::GatherRows), 0);
-  inner_->gather_rows(ctx, stream, std::move(src), std::move(rows), std::move(dst));
-}
-
-index_t FaultInjectingDevice::bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream,
-                                       real_t alpha, std::vector<index_t> row_ptr,
-                                       std::vector<index_t> col,
-                                       std::vector<ConstMatrixView> blocks,
-                                       std::vector<ConstMatrixView> x,
-                                       std::vector<MatrixView> y) {
-  visit_point(FaultSite::Launch, op_name(OpKind::BsrGemm), 0);
-  return inner_->bsr_gemm(ctx, stream, alpha, std::move(row_ptr), std::move(col),
-                          std::move(blocks), std::move(x), std::move(y));
-}
-
-void FaultInjectingDevice::min_r_diag(batched::ExecutionContext& ctx,
-                                      std::span<const ConstMatrixView> a, std::span<real_t> out) {
-  visit_point(FaultSite::Launch, op_name(OpKind::MinRDiag), 0);
-  inner_->min_r_diag(ctx, a, out);
-}
-
-void FaultInjectingDevice::min_r_diag_update(batched::ExecutionContext& ctx,
-                                             std::span<const MatrixView> work,
-                                             std::span<const index_t> factored,
-                                             std::span<std::vector<real_t>> tau,
-                                             std::span<real_t> out) {
-  visit_point(FaultSite::Launch, op_name(OpKind::MinRDiagUpdate), 0);
-  inner_->min_r_diag_update(ctx, work, factored, tau, out);
-}
-
-void FaultInjectingDevice::row_id(batched::ExecutionContext& ctx,
-                                  std::span<const ConstMatrixView> y, real_t abs_tol,
-                                  index_t max_rank, std::span<la::RowID> out) {
-  visit_point(FaultSite::Launch, op_name(OpKind::RowId), 0);
-  inner_->row_id(ctx, y, abs_tol, max_rank, out);
-}
-
-void FaultInjectingDevice::fill_gaussian(batched::ExecutionContext& ctx, MatrixView a,
-                                         const GaussianStream& stream, std::uint64_t offset) {
-  visit_point(FaultSite::Launch, op_name(OpKind::FillGaussian), 0);
-  inner_->fill_gaussian(ctx, a, stream, offset);
-}
-
-void FaultInjectingDevice::fill_gaussian_blocks(batched::ExecutionContext& ctx,
-                                                std::span<const MatrixView> blocks,
-                                                const GaussianStream& stream,
-                                                std::span<const std::uint64_t> offsets) {
-  visit_point(FaultSite::Launch, op_name(OpKind::FillGaussian), 0);
-  inner_->fill_gaussian_blocks(ctx, blocks, stream, offsets);
-}
-
-void FaultInjectingDevice::transpose(batched::ExecutionContext& ctx,
-                                     std::span<const ConstMatrixView> in,
-                                     std::span<const MatrixView> out) {
-  visit_point(FaultSite::Launch, op_name(OpKind::Transpose), 0);
-  inner_->transpose(ctx, in, out);
-}
-
-void FaultInjectingDevice::potrf(batched::ExecutionContext& ctx, batched::StreamId stream,
-                                 std::vector<MatrixView> a) {
-  visit_point(FaultSite::Launch, op_name(OpKind::Potrf), 0);
-  inner_->potrf(ctx, stream, std::move(a));
-}
-
-void FaultInjectingDevice::trsm_lower(batched::ExecutionContext& ctx, batched::StreamId stream,
-                                      TrsmSide side, la::Op op, std::vector<ConstMatrixView> l,
-                                      std::vector<MatrixView> b) {
-  visit_point(FaultSite::Launch, op_name(OpKind::TrsmLower), 0);
-  inner_->trsm_lower(ctx, stream, side, op, std::move(l), std::move(b));
-}
-
-void FaultInjectingDevice::generate(batched::ExecutionContext& ctx, batched::StreamId stream,
-                                    const kern::EntryGenerator& gen,
-                                    std::vector<kern::BlockRequest> requests) {
-  visit_point(FaultSite::Launch, op_name(OpKind::EntryGen), 0);
-  inner_->generate(ctx, stream, gen, std::move(requests));
+void FaultInjectingDevice::on_launch(std::string_view op) const {
+  visit_point(FaultSite::Launch, op, 0);
 }
 
 std::shared_ptr<FaultInjectingDevice> make_fault_injecting_device(

@@ -13,10 +13,12 @@
 /// `FaultInjectingDevice`: a decorator over any `DeviceBackend` that
 /// injects typed failures at the three places a real accelerator fails —
 /// allocation (`DeviceOomError`), explicit copies (`LaunchError`), and
-/// per-op kernel launches (`LaunchError`) — under a deterministic,
-/// seedable schedule. Everything else (memory, poisoning, arithmetic) is
-/// forwarded to the wrapped backend unchanged, so post-recovery results
-/// are bitwise identical to a fault-free run on the base backend.
+/// batched-primitive launches (`LaunchError`, through the `on_launch` hook
+/// every primitive calls once) — under a deterministic, seedable schedule.
+/// Everything else (memory, poisoning) is forwarded to the wrapped backend
+/// unchanged, and the arithmetic does not depend on the backend, so
+/// post-recovery results are bitwise identical to a fault-free run on the
+/// base backend.
 ///
 /// Faults fire *synchronously at dispatch time* on the calling thread (the
 /// cudaLaunchKernel-returned-an-error model, not an async-completion
@@ -73,7 +75,7 @@ struct FaultSchedule {
 struct FaultStats {
   std::uint64_t alloc_points = 0;  ///< allocation points visited
   std::uint64_t copy_points = 0;   ///< copy/fill points visited
-  std::uint64_t launch_points = 0; ///< per-op launch points visited
+  std::uint64_t launch_points = 0; ///< primitive launch points visited
   std::uint64_t considered = 0;    ///< points matching the active schedule's site filter
   std::uint64_t injected = 0;      ///< faults actually thrown
 
@@ -102,52 +104,8 @@ class FaultInjectingDevice final : public DeviceBackend {
 
   FaultStats fault_stats() const;
 
-  // --- forwarded primitive table ------------------------------------------
-
-  bool supports(OpKind kind) const override { return inner_->supports(kind); }
-
-  void gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
-            std::vector<ConstMatrixView> a, la::Op op_a, std::vector<ConstMatrixView> b,
-            la::Op op_b, real_t beta, std::vector<MatrixView> c) override;
-
-  void gather_rows(batched::ExecutionContext& ctx, batched::StreamId stream,
-                   std::vector<ConstMatrixView> src, std::vector<std::vector<index_t>> rows,
-                   std::vector<MatrixView> dst) override;
-
-  index_t bsr_gemm(batched::ExecutionContext& ctx, batched::StreamId stream, real_t alpha,
-                   std::vector<index_t> row_ptr, std::vector<index_t> col,
-                   std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
-                   std::vector<MatrixView> y) override;
-
-  void min_r_diag(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> a,
-                  std::span<real_t> out) override;
-
-  void min_r_diag_update(batched::ExecutionContext& ctx, std::span<const MatrixView> work,
-                         std::span<const index_t> factored, std::span<std::vector<real_t>> tau,
-                         std::span<real_t> out) override;
-
-  void row_id(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> y, real_t abs_tol,
-              index_t max_rank, std::span<la::RowID> out) override;
-
-  void fill_gaussian(batched::ExecutionContext& ctx, MatrixView a, const GaussianStream& stream,
-                     std::uint64_t offset) override;
-
-  void fill_gaussian_blocks(batched::ExecutionContext& ctx, std::span<const MatrixView> blocks,
-                            const GaussianStream& stream,
-                            std::span<const std::uint64_t> offsets) override;
-
-  void transpose(batched::ExecutionContext& ctx, std::span<const ConstMatrixView> in,
-                 std::span<const MatrixView> out) override;
-
-  void potrf(batched::ExecutionContext& ctx, batched::StreamId stream,
-             std::vector<MatrixView> a) override;
-
-  void trsm_lower(batched::ExecutionContext& ctx, batched::StreamId stream, TrsmSide side,
-                  la::Op op, std::vector<ConstMatrixView> l, std::vector<MatrixView> b) override;
-
-  void generate(batched::ExecutionContext& ctx, batched::StreamId stream,
-                const kern::EntryGenerator& gen,
-                std::vector<kern::BlockRequest> requests) override;
+  /// One launch injection point per batched-primitive call.
+  void on_launch(std::string_view op) const override;
 
  protected:
   // Never inject on deallocate or scope transitions: RAII teardown and

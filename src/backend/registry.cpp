@@ -115,15 +115,6 @@ std::string& default_name_override() {
 
 std::span<const std::string_view> registered_backends() { return kNames; }
 
-ExecutionConfig make_backend(std::string_view name) {
-  // Deliberately identical to shared_backend: an operator built under one
-  // configuration and applied under a per-call convenience context must
-  // dereference buffers from the same device heap. Handing out a private
-  // SimulatedDevice here once meant the two configs addressed different
-  // mmap regions — and each convenience call leaked a whole reserved heap.
-  return shared_backend(name);
-}
-
 ExecutionConfig shared_backend(std::string_view name) {
   if (name == "naive") return {shared_device("cpu"), LaunchMode::Naive};
   if (is_registered(name)) return {shared_device(name), LaunchMode::Batched};

@@ -9,9 +9,8 @@
 
 /// \file registry.hpp
 /// Named backend configurations. A configuration pairs a device backend
-/// (who owns memory and the primitive implementations) with a launch mode
-/// (how many launches a batch costs), which is what `H2SKETCH_BACKEND`
-/// selects process-wide:
+/// (who owns memory) with a launch mode (how many launches a batch costs),
+/// which is what `H2SKETCH_BACKEND` selects process-wide:
 ///
 ///   * `cpu`       — CpuBackend, batched launches (the default)
 ///   * `naive`     — CpuBackend, one launch per batch entry (ablation)
@@ -34,19 +33,13 @@ namespace h2sketch::backend {
 /// Names of every registered backend configuration.
 std::span<const std::string_view> registered_backends();
 
-/// Create a configuration for `name`. Identical to `shared_backend`: every
-/// configuration is backed by the process-wide device instance, so operators
-/// built under one config and applied under another always share a device
-/// heap. (This used to hand out a fresh device per call; mixing it with
-/// `shared_backend` then dereferenced buffers from a different address
-/// space.) Throws on unknown names. Tests that need a private device with
-/// zeroed stats counters should use the device factories directly
-/// (`make_cpu_backend()`, `make_sim_device()`).
-ExecutionConfig make_backend(std::string_view name);
-
 /// Configuration backed by the process-wide shared device instance for
-/// `name` ("cpu" and "naive" share one CpuBackend). Throws on unknown
-/// names.
+/// `name` ("cpu" and "naive" share one CpuBackend). Every configuration
+/// shares its device, so operators built under one config and applied
+/// under another always address the same device heap. Throws on unknown
+/// names. Tests that need a private device with zeroed stats counters use
+/// the device factories directly (`make_cpu_backend()`,
+/// `make_sim_device()`).
 ExecutionConfig shared_backend(std::string_view name);
 
 /// The backend name default-constructed ExecutionContexts use: the

@@ -3,7 +3,7 @@
 #include <map>
 #include <mutex>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/device_backend.hpp"
 
 /// \file sim_device.hpp
 /// SimulatedDevice: a backend that behaves like a discrete accelerator
@@ -22,11 +22,11 @@
 ///    faults immediately instead of silently reading through, which is
 ///    exactly the bug class a real `cudaMalloc` pointer would produce.
 ///
-/// Compute itself is inherited unchanged from CpuBackend — the simulated
-/// device executes the same arithmetic in the same order, which is what
-/// makes `CpuBackend` vs `SimulatedDevice` bitwise-identical by
-/// construction and isolates the *memory discipline* as the thing under
-/// test.
+/// Compute is the same on every backend: the batched primitives
+/// (src/batched/) execute the same arithmetic in the same order whatever
+/// heap their operands live in, which is what makes `CpuBackend` vs
+/// `SimulatedDevice` bitwise-identical by construction and isolates the
+/// *memory discipline* as the thing under test.
 
 namespace h2sketch::backend {
 
@@ -39,7 +39,7 @@ struct SimDeviceOptions {
   int poison = -1;
 };
 
-class SimulatedDevice final : public CpuBackend {
+class SimulatedDevice final : public DeviceBackend {
  public:
   ~SimulatedDevice() override;
 

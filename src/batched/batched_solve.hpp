@@ -20,9 +20,8 @@
 
 namespace h2sketch::batched {
 
-/// Which side of the unknown the triangular matrix sits on (defined with
-/// the backend dispatch table; aliased here for the original call sites).
-using TrsmSide = backend::TrsmSide;
+/// Which side of the unknown the triangular matrix sits on in a trsm.
+enum class TrsmSide { Left, Right };
 
 /// In-place lower Cholesky a[i] = L_i L_i^T for each batch entry (the strict
 /// upper triangle is left untouched). Throws (at sync) on a non-positive

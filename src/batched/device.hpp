@@ -79,14 +79,13 @@ inline constexpr index_t kLaunchFanout = 64;
 /// Execution context: backend selection, stream scheduling, kernel-launch
 /// accounting, and the per-level arena workspace.
 ///
-/// A context pairs a **device backend** (who owns device memory and the
-/// batched-primitive implementations — see backend/device_backend.hpp)
-/// with a **launch mode** (Naive vs Batched accounting). The
-/// default-constructed context uses the process-wide configuration from
-/// $H2SKETCH_BACKEND; passing only a launch mode keeps the configured
-/// device. Launch bodies execute inside the backend's kernel scopes, so on
-/// SimulatedDevice the device heap is accessible exactly while launches
-/// (or explicit copies) run.
+/// A context pairs a **device backend** (who owns device memory — see
+/// backend/device_backend.hpp) with a **launch mode** (Naive vs Batched
+/// accounting). The default-constructed context uses the process-wide
+/// configuration from $H2SKETCH_BACKEND; passing only a launch mode keeps
+/// the configured device. Launch bodies execute inside the backend's kernel
+/// scopes, so on SimulatedDevice the device heap is accessible exactly while
+/// launches (or explicit copies) run.
 class ExecutionContext {
  public:
   /// Process-default configuration ($H2SKETCH_BACKEND, default cpu/Batched).
@@ -101,7 +100,7 @@ class ExecutionContext {
 
   Backend backend() const { return backend_; }
 
-  /// The device backend this context dispatches batched primitives to.
+  /// The device backend whose memory this context's launches touch.
   backend::DeviceBackend& device() const { return *device_; }
   const std::shared_ptr<backend::DeviceBackend>& device_ptr() const { return device_; }
 
@@ -128,8 +127,8 @@ class ExecutionContext {
   template <typename Cost, typename F>
   void run_batch(StreamId stream, index_t batch, Cost&& cost, F&& f) {
     if (batch <= 0) return;
-    // Launch labels come from the dispatch wrappers' ScopedLaunchLabel
-    // (op names); a non-null label also means "tracing was on at issue
+    // Launch labels come from the primitives' ScopedLaunchLabel (op
+    // names); a non-null label also means "tracing was on at issue
     // time" — synchronous paths time the work inline, the queued path
     // stamps the LaunchState and reports at completion.
     const char* label = obs::trace_enabled() ? launch_trace_label() : nullptr;

@@ -1,6 +1,8 @@
 #include "kernels/entry_gen.hpp"
 
-#include "batched/device.hpp"
+#include <memory>
+#include <utility>
+
 #include "obs/trace.hpp"
 
 namespace h2sketch::kern {
@@ -9,7 +11,21 @@ void batched_generate(batched::ExecutionContext& ctx, batched::StreamId stream,
                       const EntryGenerator& gen, std::vector<BlockRequest> requests) {
   obs::ScopedLaunchLabel label("batched_generate");
   obs::TraceSpan span("backend", "batched_generate", "batch", requests.size());
-  ctx.device().generate(ctx, stream, gen, std::move(requests));
+  ctx.device().on_launch("batched_generate");
+  auto st = std::make_shared<std::vector<BlockRequest>>(std::move(requests));
+  const auto batch = static_cast<index_t>(st->size());
+  // Cost = entries evaluated; kernel evaluations dominate this launch.
+  ctx.run_batch(
+      stream, batch,
+      [&reqs = *st](index_t i) {
+        const auto& r = reqs[static_cast<size_t>(i)];
+        return r.out.rows * r.out.cols;
+      },
+      [st, &gen](index_t i) {
+        const auto& r = (*st)[static_cast<size_t>(i)];
+        if (r.out.empty()) return;
+        gen.generate_block(r.rows, r.cols, r.out);
+      });
 }
 
 void batched_generate(batched::ExecutionContext& ctx, const EntryGenerator& gen,

@@ -4,7 +4,7 @@
 #include <span>
 #include <vector>
 
-#include "backend/fwd.hpp"
+#include "batched/device.hpp"
 #include "common/matrix.hpp"
 #include "kernels/kernel.hpp"
 #include "tree/cluster_tree.hpp"

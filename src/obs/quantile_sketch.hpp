@@ -10,9 +10,9 @@
 /// weight 2^l; when a level overflows, its sorted contents are halved (keep
 /// every other item from a pseudo-random even/odd offset) and the survivors
 /// promoted one level up. Retained items total O(k log(n/k)); rank error is
-/// ~1/k at the median (k = 200 gives roughly 1% normalized rank error),
-/// which replaces the serving LatencyHistogram's 19% log-bucket error when a
-/// tight p99 is wanted.
+/// ~1/k at the median (k = 200 gives roughly 1% normalized rank error).
+/// It is the one latency quantile estimator: serving records every request
+/// latency into one per operator and one process-wide.
 ///
 /// Determinism: compaction offsets come from an internal splitmix64 stream
 /// seeded at construction (never from time or global RNG state), per the

@@ -119,9 +119,9 @@ class TraceSpan {
   TraceEvent ev_;
 };
 
-/// Thread-local launch label: the batched dispatch wrappers scope one of
-/// these around each backend op so the runtime can name the launches the op
-/// issues (a single op may enqueue several) without threading strings
+/// Thread-local launch label: the batched primitives scope one of these
+/// around their body so the runtime can name the launches a primitive
+/// issues (a single call may enqueue several) without threading strings
 /// through every signature.
 const char* launch_label();
 

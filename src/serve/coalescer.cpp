@@ -206,14 +206,12 @@ index_t Coalescer::execute_batch(Batch batch, ContextMap& ctxs) {
   kind_counter.fetch_add(static_cast<std::uint64_t>(k), std::memory_order_relaxed);
 
   const double now = clock_->now();
-  // Request latencies feed both recorders: the lock-free histogram (cheap,
-  // 19% bucket error) and the KLL sketches (per-op + process-wide, ~1% rank
-  // error) that back MetricsSnapshot::sketch_p50/p99.
+  // Each request latency goes once into the per-operator sketch (behind
+  // MetricsSnapshot::p50/p99) and once into the process-wide one.
   obs::SketchMetric& global_latency =
       obs::MetricsRegistry::global().sketch("serve_request_latency_seconds");
   for (auto& r : batch.reqs) {
     const double latency = now - r.enqueue_time;
-    op.metrics->latency.record(latency);
     op.metrics->latency_sketch.record(latency);
     global_latency.record(latency);
     r.done.set_value();

@@ -1,57 +1,6 @@
 #include "serve/telemetry.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace h2sketch::serve {
-
-int LatencyHistogram::bucket_of(double seconds) {
-  const double ns = seconds * 1e9;
-  if (!(ns > 1.0)) return 0;
-  const int b = static_cast<int>(std::log2(ns) * kBucketsPerOctave);
-  return std::clamp(b, 0, kBuckets - 1);
-}
-
-double LatencyHistogram::bucket_mid_seconds(int b) {
-  const double mid_ns = std::exp2((b + 0.5) / static_cast<double>(kBucketsPerOctave));
-  return mid_ns * 1e-9;
-}
-
-void LatencyHistogram::record(double seconds) {
-  counts_[static_cast<size_t>(bucket_of(seconds))].fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t LatencyHistogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
-  return total;
-}
-
-double LatencyHistogram::quantile(double q) const {
-  std::array<std::uint64_t, kBuckets> snap;
-  std::uint64_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    snap[static_cast<size_t>(b)] = counts_[static_cast<size_t>(b)].load(std::memory_order_relaxed);
-    total += snap[static_cast<size_t>(b)];
-  }
-  // Guard the empty histogram (and a NaN q, which std::clamp would pass
-  // through) before any rank arithmetic: reporters poll snapshots from the
-  // moment an operator is cached, long before the first request completes.
-  if (total == 0 || std::isnan(q)) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the requested quantile among `total` ordered samples.
-  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total - 1));
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    seen += snap[static_cast<size_t>(b)];
-    if (seen > rank) return bucket_mid_seconds(b);
-  }
-  return bucket_mid_seconds(kBuckets - 1);
-}
-
-void LatencyHistogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-}
 
 MetricsSnapshot OperatorMetrics::snapshot() const {
   MetricsSnapshot s;
@@ -65,12 +14,12 @@ MetricsSnapshot OperatorMetrics::snapshot() const {
   s.launch_failures = launch_failures.load(std::memory_order_relaxed);
   s.degraded_launches = degraded_launches.load(std::memory_order_relaxed);
   s.deadline_expired = deadline_expired.load(std::memory_order_relaxed);
-  s.p50_seconds = latency.quantile(0.50);
-  s.p99_seconds = latency.quantile(0.99);
+  // An empty sketch answers NaN; reporters poll snapshots from the moment
+  // an operator is cached, long before the first request completes.
   const obs::QuantileSketch sk = latency_sketch.snapshot();
   if (!sk.empty()) {
-    s.sketch_p50_seconds = sk.quantile(0.50);
-    s.sketch_p99_seconds = sk.quantile(0.99);
+    s.p50_seconds = sk.quantile(0.50);
+    s.p99_seconds = sk.quantile(0.99);
   }
   return s;
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 
@@ -8,44 +7,12 @@
 #include "obs/metrics.hpp"
 
 /// \file telemetry.hpp
-/// Serving-side observability: per-operator request counters plus a
-/// log-bucketed latency histogram that reports p50/p99 without storing
-/// samples. Everything here is lock-free atomics — request threads record
-/// concurrently while a reporter thread snapshots.
+/// Serving-side observability: per-operator request counters (lock-free
+/// atomics) plus a KLL quantile sketch of request latency (~1% rank error,
+/// a short mutex hold per record). Request threads record concurrently
+/// while a reporter thread snapshots.
 
 namespace h2sketch::serve {
-
-/// Latency histogram over logarithmically spaced buckets (4 sub-buckets per
-/// octave covering ~1 ns .. ~64 s). A quantile query walks the cumulative
-/// counts and returns the geometric midpoint of the bucket holding the
-/// requested rank, so the estimate's relative error is bounded by the bucket
-/// width (2^(1/4), ~19%) regardless of how many samples were recorded —
-/// and no sample is ever stored.
-class LatencyHistogram {
- public:
-  static constexpr int kBucketsPerOctave = 4;
-  static constexpr int kOctaves = 36; ///< 2^36 ns ~= 69 s
-  static constexpr int kBuckets = kOctaves * kBucketsPerOctave;
-
-  /// Record one latency observation (seconds). Thread-safe, lock-free.
-  void record(double seconds);
-
-  /// Total observations recorded.
-  std::uint64_t count() const;
-
-  /// Quantile estimate in seconds, q in [0, 1] (0.5 = p50, 0.99 = p99).
-  /// Returns 0 when no samples have been recorded. Thread-safe with respect
-  /// to concurrent record()s (the snapshot is per-bucket atomic).
-  double quantile(double q) const;
-
-  void reset();
-
- private:
-  static int bucket_of(double seconds);
-  static double bucket_mid_seconds(int b);
-
-  std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
-};
 
 /// Plain-value snapshot of one operator's serving counters.
 struct MetricsSnapshot {
@@ -59,13 +26,10 @@ struct MetricsSnapshot {
   std::uint64_t launch_failures = 0;  ///< coalesced launches that raised a retryable error
   std::uint64_t degraded_launches = 0;///< launches re-run successfully on the fallback backend
   std::uint64_t deadline_expired = 0; ///< requests failed with DeadlineExceededError
-  double p50_seconds = 0.0;        ///< request latency p50 (submit -> complete)
-  double p99_seconds = 0.0;        ///< request latency p99
-  /// Sketch-backed quantiles of the same latency stream: the KLL sketch
-  /// holds ~1% rank error vs the histogram's 19% bucket error, at the cost
-  /// of a short mutex hold per record.
-  double sketch_p50_seconds = 0.0;
-  double sketch_p99_seconds = 0.0;
+  /// Request latency quantiles (submit -> complete) from the latency
+  /// sketch; 0 until the first request completes.
+  double p50_seconds = 0.0;
+  double p99_seconds = 0.0;
 
   /// Mean RHS per coalesced launch — the batching win over one-launch-per-request.
   double mean_batch() const {
@@ -87,9 +51,7 @@ class OperatorMetrics {
   std::atomic<std::uint64_t> launch_failures{0};
   std::atomic<std::uint64_t> degraded_launches{0};
   std::atomic<std::uint64_t> deadline_expired{0};
-  LatencyHistogram latency;
-  /// Same stream as `latency`, recorded per completed batch (one short
-  /// critical section per tick, not per request) for tight quantiles.
+  /// Latency of every completed request (submit -> complete).
   obs::SketchMetric latency_sketch;
 
   MetricsSnapshot snapshot() const;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "backend/block_arena.hpp"
+#include "batched/device.hpp"
 #include "common/matrix.hpp"
 #include "tree/cluster_tree.hpp"
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -9,6 +10,12 @@
 #include "backend/cpu_backend.hpp"
 #include "backend/fault_injection.hpp"
 #include "backend/registry.hpp"
+#include "batched/batched_gemm.hpp"
+#include "batched/batched_id.hpp"
+#include "batched/batched_qr.hpp"
+#include "batched/batched_rand.hpp"
+#include "batched/batched_solve.hpp"
+#include "batched/bsr_gemm.hpp"
 #include "batched/device.hpp"
 #include "common/errors.hpp"
 #include "common/matrix.hpp"
@@ -130,8 +137,8 @@ TEST(FaultInjector, SiteFilterSelectsLaunchPointsOnly) {
 
   auto buf = dev->allocate(64);          // alloc point: not considered
   dev->fill_zero(buf.data(), 64);        // copy point: not considered
-  EXPECT_THROW(dev->potrf(ctx, batched::kSampleStream, {}), LaunchError);
-  dev->potrf(ctx, batched::kSampleStream, {}); // one-shot already fired
+  EXPECT_THROW(batched::batched_potrf(ctx, batched::kSampleStream, {}), LaunchError);
+  batched::batched_potrf(ctx, batched::kSampleStream, {}); // one-shot already fired
 
   const FaultStats s = dev->fault_stats();
   EXPECT_EQ(s.alloc_points, 1u);
@@ -139,6 +146,144 @@ TEST(FaultInjector, SiteFilterSelectsLaunchPointsOnly) {
   EXPECT_EQ(s.launch_points, 2u);
   EXPECT_EQ(s.considered, 2u); // only the launch points matched the filter
   EXPECT_EQ(s.injected, 1u);
+}
+
+TEST(FaultInjector, EveryPrimitiveVisitsExactlyOneLaunchPoint) {
+  // Each batched primitive reports itself through the device's launch hook
+  // exactly once, before its checks and its launch: a fault armed at the
+  // next launch point stops it with nothing launched and nothing written,
+  // and a clean call visits one point. Dropping the hook from any primitive
+  // shrinks the fault sweep's index space without failing anything else.
+  auto dev = backend::make_fault_injecting_device(backend::make_cpu_backend(), "faulty-test",
+                                                  FaultSchedule::off());
+  batched::ExecutionContext ctx({dev, backend::LaunchMode::Batched});
+  constexpr batched::StreamId s0 = batched::kSampleStream;
+
+  // CpuBackend device memory is host memory: plain host operands suffice.
+  const Matrix a = test_util::random_matrix(6, 4, 1);
+  const Matrix b = test_util::random_matrix(4, 3, 2);
+  Matrix gemm_out(6, 3), gather_out(2, 4), bsr_out(6, 3);
+  Matrix probe = test_util::random_matrix(5, 3, 3);
+  std::vector<std::vector<real_t>> probe_tau(1);
+  std::vector<real_t> probe_out = {-1.0};
+  std::vector<la::RowID> ids(1);
+  Matrix fill_one(4, 3), fill_a(3, 2), fill_b(2, 2);
+  const GaussianStream rng(7);
+  Matrix spd(4, 4);
+  la::gemm(1.0, a.view().row_range(0, 4), la::Op::None, a.view().row_range(0, 4), la::Op::Trans,
+           0.0, spd.view());
+  for (index_t i = 0; i < 4; ++i) spd(i, i) += 4.0;
+  Matrix chol = to_matrix(spd.view());
+  la::cholesky(chol.view());
+  Matrix trsm_out = test_util::random_matrix(3, 4, 4);
+  const Matrix source = test_util::random_matrix(8, 8, 5);
+  const kern::DenseEntryGenerator gen(source.view());
+  const std::vector<index_t> gen_rows = {0, 3}, gen_cols = {1, 2, 5};
+  Matrix gen_out(2, 3);
+
+  auto flat = [](std::initializer_list<const Matrix*> ms) {
+    std::vector<real_t> v;
+    for (const Matrix* m : ms)
+      for (index_t j = 0; j < m->cols(); ++j)
+        for (index_t i = 0; i < m->rows(); ++i) v.push_back((*m)(i, j));
+    return v;
+  };
+  struct Case {
+    const char* name;
+    std::function<void()> call;
+    std::function<std::vector<real_t>()> output;
+  };
+  const std::vector<Case> cases = {
+      {"batched_gemm",
+       [&] {
+         batched::batched_gemm(ctx, s0, 1.0, {a.view()}, la::Op::None, {b.view()}, la::Op::None,
+                               0.0, {gemm_out.view()});
+         ctx.sync(s0);
+       },
+       [&] { return flat({&gemm_out}); }},
+      {"batched_gather_rows",
+       [&] {
+         batched::batched_gather_rows(ctx, s0, {a.view()}, {{5, 0}}, {gather_out.view()});
+         ctx.sync(s0);
+       },
+       [&] { return flat({&gather_out}); }},
+      {"bsr_gemm",
+       [&] {
+         batched::bsr_gemm(ctx, s0, 1.0, {0, 1}, {0}, {a.view()}, {b.view()}, {bsr_out.view()});
+         ctx.sync(s0);
+       },
+       [&] { return flat({&bsr_out}); }},
+      {"batched_min_r_diag_update",
+       [&] {
+         const std::vector<MatrixView> work = {probe.view()};
+         const std::vector<index_t> factored = {0};
+         batched::batched_min_r_diag_update(ctx, work, factored, probe_tau, probe_out);
+       },
+       [&] {
+         std::vector<real_t> v = flat({&probe});
+         v.push_back(probe_out[0]);
+         return v;
+       }},
+      {"batched_row_id",
+       [&] {
+         const std::vector<ConstMatrixView> y = {a.view()};
+         batched::batched_row_id(ctx, y, 1e-12, -1, ids);
+       },
+       [&] {
+         std::vector<real_t> v = flat({&ids[0].interp});
+         for (index_t r : ids[0].skeleton) v.push_back(static_cast<real_t>(r));
+         return v;
+       }},
+      {"batched_fill_gaussian",
+       [&] { batched::batched_fill_gaussian(ctx, fill_one.view(), rng, 0); },
+       [&] { return flat({&fill_one}); }},
+      {"batched_fill_gaussian (blocks)",
+       [&] {
+         const std::vector<MatrixView> blocks = {fill_a.view(), fill_b.view()};
+         const std::vector<std::uint64_t> offsets = {0, 100};
+         batched::batched_fill_gaussian(ctx, blocks, rng, offsets);
+       },
+       [&] { return flat({&fill_a, &fill_b}); }},
+      {"batched_potrf",
+       [&] {
+         batched::batched_potrf(ctx, s0, {spd.view()});
+         ctx.sync(s0);
+       },
+       [&] { return flat({&spd}); }},
+      {"batched_trsm_lower",
+       [&] {
+         batched::batched_trsm_lower(ctx, s0, batched::TrsmSide::Right, la::Op::Trans,
+                                     {chol.view()}, {trsm_out.view()});
+         ctx.sync(s0);
+       },
+       [&] { return flat({&trsm_out}); }},
+      {"batched_generate",
+       [&] {
+         kern::batched_generate(ctx, s0, gen, {{gen_rows, gen_cols, gen_out.view()}});
+         ctx.sync(s0);
+       },
+       [&] { return flat({&gen_out}); }},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<real_t> before = c.output();
+
+    dev->set_schedule(FaultSchedule::one_shot_at(0, FaultSite::Launch));
+    const std::uint64_t faulted0 = dev->fault_stats().launch_points;
+    const index_t launches0 = ctx.kernel_launches();
+    EXPECT_THROW(c.call(), LaunchError);
+    EXPECT_EQ(dev->fault_stats().launch_points, faulted0 + 1);
+    EXPECT_EQ(dev->fault_stats().injected, 1u);
+    EXPECT_EQ(ctx.kernel_launches(), launches0);
+    EXPECT_EQ(c.output(), before);
+
+    dev->set_schedule(FaultSchedule::off());
+    const std::uint64_t clean0 = dev->fault_stats().launch_points;
+    EXPECT_NO_THROW(c.call());
+    EXPECT_EQ(dev->fault_stats().launch_points, clean0 + 1);
+    EXPECT_NE(c.output(), before); // the untouched check above has teeth
+  }
 }
 
 TEST(FaultInjector, EveryNthAndProbabilityAreDeterministic) {
@@ -328,7 +473,8 @@ TEST(FaultSweep, OneShotFaultAtEveryPointRecoversBitwiseWithoutLeaks) {
   // measures the injection index space the sweep walks — and produces the
   // bitwise reference results.
   const CycleResult ref = run_cycle("faulty-simdevice");
-  const std::uint64_t total = inj->fault_stats().points();
+  const FaultStats probe = inj->fault_stats();
+  const std::uint64_t total = probe.points();
   ASSERT_GT(total, 0u);
   const std::uint64_t live0 = inj->stats().live_bytes;
 
@@ -363,6 +509,9 @@ TEST(FaultSweep, OneShotFaultAtEveryPointRecoversBitwiseWithoutLeaks) {
   // must have surfaced as a typed error (none swallowed, none crashed).
   EXPECT_EQ(surfaced, swept);
   RecordProperty("fault_points", static_cast<int>(total));
+  RecordProperty("alloc_points", static_cast<int>(probe.alloc_points));
+  RecordProperty("copy_points", static_cast<int>(probe.copy_points));
+  RecordProperty("launch_points", static_cast<int>(probe.launch_points));
   RecordProperty("fault_points_swept", static_cast<int>(swept));
 }
 

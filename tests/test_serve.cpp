@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,8 +20,8 @@
 /// eviction under a byte budget, no-evict-while-pinned, single-flight
 /// builds), coalescer flush-on-full vs flush-on-timeout driven by a manual
 /// clock and manual pumping (no threads, no real sleeps), correctness of
-/// coalesced results against the direct blocked launches, and the latency
-/// histogram's quantile bounds.
+/// coalesced results against the direct blocked launches, and the request
+/// latency quantiles the coalescer records.
 
 namespace h2sketch::serve {
 namespace {
@@ -139,20 +138,6 @@ TEST(GeometryFingerprint, DistinguishesPointsAndLeafSize) {
   EXPECT_NE(geometry_fingerprint(p1, 16), geometry_fingerprint(p1, 32));
 }
 
-TEST(LatencyHistogram, QuantilesWithinBucketBounds) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  for (int i = 0; i < 98; ++i) h.record(1e-3);
-  h.record(0.5);
-  h.record(0.5);
-  EXPECT_EQ(h.count(), 100u);
-  // Log-bucketed estimates: relative error bounded by the 2^(1/4) bucket.
-  EXPECT_NEAR(h.quantile(0.50), 1e-3, 0.25e-3);
-  EXPECT_NEAR(h.quantile(0.99), 0.5, 0.15);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-}
-
 /// A small factored operator on the shared cpu device, cached across tests
 /// (function-local static cache). Tests that assert on the per-operator
 /// metrics pass a distinct `tol` so they get an operator — and counters —
@@ -232,15 +217,21 @@ TEST(Coalescer, FlushesOnTimeoutWithManualClock) {
   EXPECT_EQ(co.pump(), 0);
   clock->advance(0.4);
   EXPECT_EQ(co.pump(), 0); // 0.4 < max_delay: still waiting for more RHS
+  // Regression: reporters snapshot operators before any request completes;
+  // the quantiles of an empty latency sketch must read 0, not NaN.
+  const MetricsSnapshot pending = op->metrics->snapshot();
+  EXPECT_EQ(pending.p50_seconds, 0.0);
+  EXPECT_EQ(pending.p99_seconds, 0.0);
   clock->advance(0.2);
   EXPECT_EQ(co.pump(), 2); // oldest request is now 0.6s old: flush
   for (auto& f : futs) f.get();
 
   const MetricsSnapshot m = op->metrics->snapshot();
   EXPECT_EQ(m.flush_timeout - timeouts0, 1u);
-  // ManualClock latency: both requests waited 0.6s; the log-bucketed p50
-  // must land within one bucket (2^(1/4) ~ 19%) of that.
-  EXPECT_NEAR(m.p50_seconds, 0.6, 0.15);
+  // ManualClock latency: both requests waited 0.6s, and the sketch returns
+  // a recorded value, so p50 and p99 are that latency up to clock rounding.
+  EXPECT_NEAR(m.p50_seconds, 0.6, 1e-12);
+  EXPECT_NEAR(m.p99_seconds, 0.6, 1e-12);
 }
 
 TEST(Coalescer, SolveRequestsCoalesceAndMatchSolveMany) {
@@ -340,7 +331,7 @@ TEST(Coalescer, ThreadedLanesServeConcurrentClients) {
   // gemm rounding depends on the column grouping at the last ulp — so this
   // comparison is to tolerance, unlike the fixed-batch tests above.
   EXPECT_LT(test_util::rel_fro_error(ys.view(), y_ref.view()), test_util::kMatvecRelTol);
-  EXPECT_EQ(op->metrics->latency.count(), op->metrics->snapshot().requests);
+  EXPECT_EQ(op->metrics->latency_sketch.snapshot().count(), op->metrics->snapshot().requests);
 }
 
 // --- recovery policies -------------------------------------------------
@@ -578,21 +569,6 @@ TEST(Coalescer, StopDrainsQueuedRequestsBeforeRejecting) {
                                const_real_span(x.data(), static_cast<size_t>(n)),
                                real_span(y.data(), static_cast<size_t>(n))),
                std::runtime_error);
-}
-
-TEST(LatencyHistogram, EmptyAndDegenerateQuantilesReturnZero) {
-  LatencyHistogram h;
-  // Regression: reporters snapshot operators before any request completes;
-  // every quantile of an empty histogram must be 0, not a bucket midpoint.
-  EXPECT_EQ(h.quantile(0.0), 0.0);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.quantile(1.0), 0.0);
-  EXPECT_EQ(h.quantile(std::numeric_limits<double>::quiet_NaN()), 0.0);
-  h.record(1e-3);
-  EXPECT_EQ(h.quantile(std::numeric_limits<double>::quiet_NaN()), 0.0);
-  EXPECT_GT(h.quantile(0.5), 0.0);
-  h.reset();
-  EXPECT_EQ(h.quantile(0.99), 0.0);
 }
 
 } // namespace
