@@ -1,9 +1,9 @@
 /// Ablation supporting §IV-B: kernel-launch counts of the construction on
 /// the naive (one launch per block, the paper's "impractical" path) vs the
-/// batched backend (one launch per level per operation, <= Csp for the BSR
-/// products). The batched count should grow like O(Csp log N); the naive
-/// count like O(N). This launch-count gap is the mechanism behind the
-/// paper's GPU speedups.
+/// batched backend (one launch per level per operation, the BSR products
+/// included: one launch each, not Csp). The batched count should grow like
+/// O(log N); the naive count like O(N). This launch-count gap is the
+/// mechanism behind the paper's GPU speedups.
 ///
 /// The same construction also runs on the SimulatedDevice backend, which
 /// keeps the sketching state in a separate device heap behind explicit
@@ -157,9 +157,10 @@ int main(int argc, char** argv) {
   }
   json << "  ]\n}\n";
   std::cout << "\nwrote " << json_name << "\n";
-  std::cout << "\nShape checks: launches_batched grows ~logarithmically (per-level it is\n"
-               "bounded by a Csp-dependent constant); launches_naive grows ~linearly in N,\n"
-               "so the ratio widens with N — the batching payoff claimed in §IV-B. The\n"
+  std::cout << "\nShape checks: launches_batched grows ~logarithmically (per level it is a\n"
+               "constant count of launches per sample round, independent of Csp: each BSR\n"
+               "product is one launch); launches_naive grows ~linearly in N, so the ratio\n"
+               "widens with N — the batching payoff claimed in §IV-B. The\n"
                "simdevice column equals the batched column exactly: the GPU seam adds\n"
                "explicit memory traffic (h2d/d2h columns), not launches.\n";
   return 0;

@@ -34,10 +34,8 @@ void batched_gemm(ExecutionContext& ctx, StreamId stream, real_t alpha,
   H2S_CHECK(a.size() == b.size() && a.size() == c.size(), "batched_gemm: batch size mismatch");
   auto st = std::make_shared<GemmLaunch>(GemmLaunch{std::move(a), std::move(b), std::move(c)});
   const auto batch = static_cast<index_t>(st->c.size());
-  // Per-entry cost: the m x n x k flop product. Each entry goes through
-  // la::gemm's shape dispatch, so large entries hit the blocked
-  // pack-and-compute engine while sketching-sized ones stay on the naive
-  // kernels — per-entry kernel selection as in the paper's CPU path.
+  // Per-entry cost: the m x n x k flop product. Each entry is one
+  // single-threaded la::gemm on register tiles, as in the paper's CPU path.
   ctx.run_batch(
       stream, batch,
       [&g = *st, op_a](index_t i) {

@@ -11,28 +11,31 @@
 /// batchedBSRGemm (§IV-A). Given a CSR block pattern over the nodes of a
 /// level, computes
 ///     y[r] += alpha * sum_j  blocks[ptr(r)+j] * x[col(ptr(r)+j)]
-/// by splitting the work into at most Csp sub-launches: sub-launch k handles
-/// the k-th block of every row, so each output row is written by at most one
-/// batch entry per launch — no atomics needed. Since Csp is a constant, the
-/// total launch count per level is O(Csp).
+/// as one launch: batch entry r owns y[r] and adds row r's blocks in CSR
+/// order inside one task, so no two entries write the same output and no
+/// atomics are needed. Those are the additions, in the order, of the Csp
+/// sub-launches the paper issues (sub-launch k takes the k-th block of every
+/// row), so every bit matches them; the product waits on one stream barrier
+/// instead of Csp. On a GPU the same launch runs one thread block per row.
+/// An entry's cost is its row's summed m*n*k, so the launch's cost-balanced
+/// chunks split heavy rows from light ones.
 ///
-/// The sub-launches all land on the same stream: stream FIFO ordering makes
-/// their accumulation into y race-free without an internal barrier, and the
-/// whole product still overlaps with work on other streams.
+/// The launch lands on the caller's stream, so it is FIFO-ordered with the
+/// other launches of its pipeline and overlaps work on other streams.
 
 namespace h2sketch::batched {
 
-/// Stream form: the CSR pattern and view vectors are moved into the
-/// launches; underlying buffers must stay alive until the stream is synced.
-/// Returns the number of sub-launches used (== max blocks per row).
-index_t bsr_gemm(ExecutionContext& ctx, StreamId stream, real_t alpha,
-                 std::vector<index_t> row_ptr, std::vector<index_t> col,
-                 std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
-                 std::vector<MatrixView> y);
+/// Stream form: the CSR pattern and view vectors are moved into the launch;
+/// underlying buffers must stay alive until the stream is synced. A pattern
+/// with no blocks issues no launch.
+void bsr_gemm(ExecutionContext& ctx, StreamId stream, real_t alpha,
+              std::vector<index_t> row_ptr, std::vector<index_t> col,
+              std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
+              std::vector<MatrixView> y);
 
 /// Synchronous form: completed on return.
-index_t bsr_gemm(ExecutionContext& ctx, real_t alpha, const_index_span row_ptr,
-                 const_index_span col, std::span<const ConstMatrixView> blocks,
-                 std::span<const ConstMatrixView> x, std::span<const MatrixView> y);
+void bsr_gemm(ExecutionContext& ctx, real_t alpha, const_index_span row_ptr,
+              const_index_span col, std::span<const ConstMatrixView> blocks,
+              std::span<const ConstMatrixView> x, std::span<const MatrixView> y);
 
 } // namespace h2sketch::batched

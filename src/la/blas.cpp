@@ -94,27 +94,14 @@ void trsm_lower_right_scalar(ConstMatrixView l, Op op_l, MatrixView b, bool unit
 
 } // namespace
 
-void gemm(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b, real_t beta,
-          MatrixView c) {
-  // Auto-dispatch: the blocked pack-and-compute engine for large products,
-  // the retained naive kernels for tiny/skinny shapes (both implement the
-  // full alpha/beta contract; see gemm_engine.hpp).
-  if (gemm_use_blocked(c.rows, c.cols, op_cols(a, op_a)))
-    gemm_blocked(alpha, a, op_a, b, op_b, beta, c);
-  else
-    gemm_naive(alpha, a, op_a, b, op_b, beta, c);
-}
-
 void gemv(real_t alpha, ConstMatrixView a, Op op_a, const_real_span x, real_t beta, real_span y) {
   const index_t m = op_rows(a, op_a);
   const index_t n = op_cols(a, op_a);
   H2S_CHECK(static_cast<index_t>(x.size()) == n && static_cast<index_t>(y.size()) == m,
             "gemv: shape mismatch");
-  // A single right-hand side never reuses a packed panel, so the blocked
-  // engine cannot win here; go straight to the naive kernels.
   ConstMatrixView xv(x.data(), n, 1, n == 0 ? 1 : n);
   MatrixView yv(y.data(), m, 1, m == 0 ? 1 : m);
-  gemm_naive(alpha, a, op_a, xv, Op::None, beta, yv);
+  gemm(alpha, a, op_a, xv, Op::None, beta, yv);
 }
 
 void trsm_upper_left(ConstMatrixView r, Op op_r, MatrixView b, bool unit_diag) {

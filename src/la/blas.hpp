@@ -9,12 +9,15 @@
 /// paper's CPU path wraps single-threaded BLAS in OpenMP loops; its GPU path
 /// calls MAGMA/KBLAS batched equivalents).
 ///
-/// `gemm` auto-dispatches between the cache-blocked, register-tiled engine
-/// in gemm_engine.hpp and the retained naive triple-loop reference: large
-/// products take the packed path, tiny/skinny (sketching-sized) shapes stay
-/// scalar. `trsm_upper_left` and `cholesky_solve` switch to blocked
-/// substitution with gemm updates once the system/right-hand-side count is
-/// large enough for the engine to win.
+/// `gemm` runs every product on the unpacked register tiles described in
+/// gemm_engine.hpp. `trsm_upper_left` and `cholesky_solve` switch to
+/// blocked substitution with gemm updates once the system/right-hand-side
+/// count is large enough.
+///
+/// NaN/Inf contract: every gemm follows IEEE propagation — a NaN or Inf
+/// in op(A) reaches C even where op(B) is zero, and vice versa. As in BLAS,
+/// `alpha == 0` reads neither A nor B (C = beta * C), and `beta == 0` does
+/// not read C (a NaN already in C is overwritten).
 
 namespace h2sketch::la {
 
@@ -25,24 +28,25 @@ enum class Op { None, Trans };
 inline index_t op_rows(ConstMatrixView a, Op op) { return op == Op::None ? a.rows : a.cols; }
 inline index_t op_cols(ConstMatrixView a, Op op) { return op == Op::None ? a.cols : a.rows; }
 
-/// C = alpha * op(A) * op(B) + beta * C. Dispatches to the blocked engine or
-/// the naive reference per shape (see gemm_engine.hpp).
+/// C = alpha * op(A) * op(B) + beta * C on register tiles (see
+/// gemm_engine.hpp).
 void gemm(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b, real_t beta,
           MatrixView c);
 
 /// Same contract as `gemm`, with an opt-in intra-op parallel path: C is
-/// tiled into row panels at the engine's MC boundary and column panels at
-/// the NC boundary, and the tiles run concurrently on the persistent pool.
-/// Because the panel cuts coincide with the serial engine's own blocking,
-/// the result is bitwise identical to `gemm` for every thread count. Falls
-/// back to the serial dispatch when the product is too small to split or the
-/// pool width is 1. Intended for the few monolithic products (dense sampler
-/// applications, densification) that a batched launch cannot subdivide.
+/// tiled into row panels of kGemmMC rows and column panels of kGemmNC
+/// columns, and each tile runs `gemm` concurrently on the persistent pool.
+/// `gemm`'s entries do not depend on their tile, so the result is bitwise
+/// identical to `gemm` for every thread count. Falls back to `gemm` when the
+/// product is below 32^3 (or thinner than 4 x 8 x 8), fits one panel, or
+/// the pool width is 1.
+/// Intended for the few monolithic products (dense sampler applications,
+/// densification, the ULV's panel updates) that a batched launch cannot
+/// subdivide.
 void gemm_parallel(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b,
                    real_t beta, MatrixView c);
 
-/// y = alpha * op(A) * x + beta * y. Single right-hand side: always the
-/// naive kernels (a packed panel would never be reused).
+/// y = alpha * op(A) * x + beta * y: a one-column `gemm`.
 void gemv(real_t alpha, ConstMatrixView a, Op op_a, const_real_span x, real_t beta, real_span y);
 
 /// Solve op(R) * X = B in place for upper-triangular R (unit_diag selects an

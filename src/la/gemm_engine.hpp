@@ -5,55 +5,36 @@
 #include "la/blas.hpp"
 
 /// \file gemm_engine.hpp
-/// Cache-blocked, register-tiled GEMM engine (GotoBLAS/BLIS structure).
+/// The two GEMM implementations:
 ///
-/// The engine packs operand panels into contiguous, zero-padded buffers and
-/// runs a fixed MR x NR register microkernel over them, so
-///   - the innermost loops are stride-1 and auto-vectorizable regardless of
-///     the leading dimensions of the caller's views,
-///   - all four transpose combinations are folded into the packing step: the
-///     microkernel only ever sees the no-transpose case,
-///   - edge tiles are handled by zero padding inside the packed panels, so
-///     the kernel itself is branch-free.
+///  * `la::gemm` (blas.hpp), the one library path: unpacked register tiles.
+///    C is cut into MR x 4 tiles held in explicit vector types — 32 rows of
+///    8-wide vectors on AVX-512, 8 rows of 4-wide on AVX2, 4 rows of 2-wide
+///    on the baseline ISA — and A and B are read in place; nt only swaps
+///    B's strides, while tn, tt, row tails and long inner dimensions stage
+///    op(A)'s tile rows in a small aligned buffer. Every entry of C runs the
+///    same instruction sequence wherever it sits in the tiling, and the ISA
+///    clone is selected once per process, so results depend on shape and
+///    ISA only: bitwise identical across thread counts and backends.
+///  * `gemm_naive`: straight triple loops, kept as the fuzz suite's oracle
+///    and bench_gemm's baseline. No library path calls it.
 ///
-/// `la::gemm` auto-dispatches between this engine and the retained naive
-/// triple-loop kernels (`gemm_naive`): tiny or skinny products — e.g. the
-/// sketching-sized n x l multiplies with l ~ rank + oversampling — stay on
-/// the naive path where packing overhead would dominate; everything else
-/// goes through the blocked path. The batched backend and BSR products
-/// inherit the engine through `la::gemm`, matching the paper's CPU design of
-/// OpenMP loops around fast single-threaded BLAS.
+/// Both propagate NaN and Inf (no zero skips); `alpha == 0` reads neither A
+/// nor B and `beta == 0` does not read C. The batched backend and BSR
+/// products inherit all of this through `la::gemm`, matching the paper's
+/// CPU design of OpenMP loops around fast single-threaded BLAS.
 
 namespace h2sketch::la {
 
-/// Register-tile footprint of the microkernel: MR rows of C (the vectorized,
-/// stride-1 direction) by NR columns. MR*NR accumulators live in registers.
-inline constexpr index_t kGemmMR = 4;
-inline constexpr index_t kGemmNR = 8;
-
-/// Cache blocking: A panels are MC x KC (packed to L2-resident slivers of MR
-/// rows), B panels are KC x NC (streamed through L3/L2 in slivers of NR
-/// columns). See README "GEMM engine" for tuning notes.
+/// Tile grid of `gemm_parallel`: row panels of kGemmMC rows by column
+/// panels of kGemmNC columns of C.
 inline constexpr index_t kGemmMC = 128;
-inline constexpr index_t kGemmKC = 256;
 inline constexpr index_t kGemmNC = 2048;
 
-/// True when the blocked engine is expected to beat the naive kernels for a
-/// C(m x n) += op(A) * op(B) product with inner dimension k. Exposed so the
-/// fuzz suite and bench driver can exercise both sides of the cutover.
-bool gemm_use_blocked(index_t m, index_t n, index_t k);
-
-/// The retained scalar reference: C = alpha * op(A) * op(B) + beta * C as
-/// straight triple loops. This is the kernel the seed repo shipped; it stays
-/// as the correctness oracle for the fuzz suite and the baseline for
-/// bench_gemm speedup numbers.
+/// The scalar reference: C = alpha * op(A) * op(B) + beta * C as straight
+/// triple loops. The correctness oracle of the fuzz suite and the baseline of
+/// bench_gemm; no library path dispatches to it.
 void gemm_naive(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b, real_t beta,
                 MatrixView c);
-
-/// The blocked engine: same contract as `gemm` / `gemm_naive`. Valid for all
-/// shapes (including empty); callers normally go through `la::gemm`, which
-/// picks the faster path per shape.
-void gemm_blocked(real_t alpha, ConstMatrixView a, Op op_a, ConstMatrixView b, Op op_b,
-                  real_t beta, MatrixView c);
 
 } // namespace h2sketch::la

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/random.hpp"
+#include "la/gemm_engine.hpp"
 #include "test_common.hpp"
 
 namespace h2sketch::la {
@@ -67,6 +71,53 @@ TEST(Gemm, ZeroInnerDimensionScalesByBeta) {
   gemm(1.0, a.view(), Op::None, b.view(), Op::None, 0.5, c.view());
   for (index_t j = 0; j < 3; ++j)
     for (index_t i = 0; i < 4; ++i) EXPECT_EQ(c(i, j), 1.0);
+}
+
+TEST(Gemm, NanAndInfPropagateOnEveryPath) {
+  // IEEE propagation is the contract of every path: a NaN or Inf in op(A)
+  // reaches C even where the matching row of op(B) is zero (0 * Inf and
+  // 0 * NaN are NaN). BLAS's two exceptions hold too: alpha == 0 reads
+  // neither A nor B, and beta == 0 does not read C.
+  using GemmFn = void (*)(real_t, ConstMatrixView, Op, ConstMatrixView, Op, real_t, MatrixView);
+  const std::pair<const char*, GemmFn> paths[] = {
+      {"gemm_naive", gemm_naive}, {"la::gemm", gemm}, {"la::gemm_parallel", gemm_parallel}};
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  // Row tails and staged inner dimensions; the second shape spans two of
+  // gemm_parallel's row panels.
+  struct Shape { index_t m, n, k, p0; };
+  for (const Shape sh : {Shape{37, 11, 9, 4}, Shape{130, 130, 130, 77}}) {
+    for (Op oa : {Op::None, Op::Trans})
+      for (Op ob : {Op::None, Op::Trans}) {
+        // op(A)(i, p0) is NaN for even i, Inf for odd i; op(B)(p0, :) = 0.
+        Matrix a = oa == Op::None ? random_matrix(sh.m, sh.k, 1) : random_matrix(sh.k, sh.m, 1);
+        Matrix b = ob == Op::None ? random_matrix(sh.k, sh.n, 2) : random_matrix(sh.n, sh.k, 2);
+        for (index_t i = 0; i < sh.m; ++i)
+          (oa == Op::None ? a(i, sh.p0) : a(sh.p0, i)) = i % 2 == 0 ? nan : inf;
+        for (index_t j = 0; j < sh.n; ++j) (ob == Op::None ? b(sh.p0, j) : b(j, sh.p0)) = 0.0;
+        for (const auto& [name, fn] : paths) {
+          const auto where = [&] {
+            return ::testing::Message() << name << " m=" << sh.m << " oa=" << static_cast<int>(oa)
+                                        << " ob=" << static_cast<int>(ob);
+          };
+          // beta == 0 clears a NaN-filled C without reading it; A's
+          // non-finite column still poisons every entry.
+          Matrix c(sh.m, sh.n);
+          c.fill(nan);
+          fn(1.0, a.view(), oa, b.view(), ob, 0.0, c.view());
+          for (index_t j = 0; j < sh.n; ++j)
+            for (index_t i = 0; i < sh.m; ++i)
+              ASSERT_TRUE(std::isnan(c(i, j))) << where() << " at (" << i << "," << j << ")";
+          // alpha == 0 reads neither A nor B: C = beta * C exactly.
+          Matrix c0 = random_matrix(sh.m, sh.n, 3);
+          const Matrix c0_before = to_matrix(c0.view());
+          fn(0.0, a.view(), oa, b.view(), ob, 0.5, c0.view());
+          for (index_t j = 0; j < sh.n; ++j)
+            for (index_t i = 0; i < sh.m; ++i)
+              ASSERT_EQ(c0(i, j), 0.5 * c0_before(i, j)) << where();
+        }
+      }
+  }
 }
 
 TEST(Gemm, ShapeMismatchThrows) {

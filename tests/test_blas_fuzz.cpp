@@ -10,32 +10,31 @@
 #include "test_common.hpp"
 
 /// \file test_blas_fuzz.cpp
-/// Property/fuzz suite for the blocked GEMM engine and the blocked
-/// triangular solves, against the retained naive reference kernels.
+/// Property/fuzz suite for `la::gemm` (unpacked register tiles), its
+/// pool-split form `gemm_parallel` and the blocked triangular solves,
+/// against the naive reference kernels.
 ///
-/// The engine's failure modes are all shape-dependent (packing edge tiles,
-/// zero padding, sliver indexing, cache-block boundaries, strided views), so
-/// the suite draws dimensions from a pool biased toward the danger zone:
-/// 0, 1, primes, and every register/cache block size +- 1. Every case runs
-/// `gemm_blocked` directly — not through the dispatch — so small shapes
-/// exercise the packed path too, and checks that entries of the backing
-/// buffer outside the C view are never touched (the ld-correctness
-/// property).
+/// The register tiles fail in shape-dependent ways (row and column tails,
+/// partial vectors, staged transposes, the staged long inner dimension,
+/// strided views), so the suite draws dimensions from a pool biased toward
+/// the danger zone: 0, 1, primes, and every tile and panel size +- 1. Every
+/// case checks that entries of the backing buffer outside the C view are
+/// never touched (the ld-correctness property).
 
 namespace h2sketch::la {
 namespace {
 
 using test_util::random_matrix;
 
-/// Dimension pool biased toward engine boundaries: the register tile
-/// (MR = 4, NR = 8), the cache blocks (MC = 128, KC = 256, NC = 2048 is too
-/// big to fuzz densely; its edge handling is identical to KC's), primes, and
-/// the degenerate sizes 0 and 1.
+/// Dimension pool biased toward the tile boundaries: 4, 8 or 32 rows of 2-,
+/// 4- or 8-wide vectors per ISA by 4 columns (3-5, 7-9, 15-17, 31-33 and
+/// 63-65 hit a whole tile, a vector tail and a second tile), the inner
+/// dimension past which op(A) is staged and gemm_parallel's row panel (both
+/// 128), twice that, primes, and the degenerate sizes 0 and 1.
 index_t draw_dim(SmallRng& rng) {
   static const std::vector<index_t> pool = {
-      0,  1,  2,  3,  kGemmMR - 1, kGemmMR, kGemmMR + 1, 7,  kGemmNR - 1, kGemmNR,
-      kGemmNR + 1, 13, 17, 31, 32, 33, 61, 97, kGemmMC - 1, kGemmMC, kGemmMC + 1,
-      kGemmKC - 1, kGemmKC, kGemmKC + 1};
+      0,  1,  2,  3,  4,  5,  7,  8,  9,  13, 15, 16, 17, 31,  32,  33,
+      61, 63, 64, 65, 97, kGemmMC - 1, kGemmMC, kGemmMC + 1, 255, 256, 257};
   if (rng.next_real() < 0.7) return pool[static_cast<size_t>(rng.next_index(
       static_cast<index_t>(pool.size())))];
   return rng.next_index(300);
@@ -69,9 +68,9 @@ struct EmbeddedView {
   ConstMatrixView cview() const { return backing.block(r0, c0, m, n); }
 };
 
-TEST(BlasFuzz, BlockedGemmMatchesNaiveReference) {
+TEST(BlasFuzz, GemmMatchesNaiveReference) {
   SmallRng rng(20250728);
-  int blocked_dispatch_cases = 0;
+  int split_cases = 0, single_panel_cases = 0;
   for (int iter = 0; iter < 400; ++iter) {
     const index_t m = draw_dim(rng), n = draw_dim(rng), k = draw_dim(rng);
     const Op oa = draw_op(rng), ob = draw_op(rng);
@@ -80,75 +79,106 @@ TEST(BlasFuzz, BlockedGemmMatchesNaiveReference) {
     const std::uint64_t s = 1000 + static_cast<std::uint64_t>(iter) * 7;
     EmbeddedView a(oa == Op::None ? m : k, oa == Op::None ? k : m, rng, s);
     EmbeddedView b(ob == Op::None ? k : n, ob == Op::None ? n : k, rng, s + 1);
-    EmbeddedView c_blocked(m, n, rng, s + 2);
-    // Same C contents (and same backing) for the reference run.
-    Matrix c_ref_backing = to_matrix(c_blocked.backing.view());
-    MatrixView c_ref =
-        c_ref_backing.block(c_blocked.r0, c_blocked.c0, m, n);
-    const Matrix before = to_matrix(c_blocked.backing.view());
+    EmbeddedView c_gemm(m, n, rng, s + 2);
+    // Same C contents (and same backing) for the gemm_parallel and
+    // reference runs.
+    EmbeddedView c_par = c_gemm;
+    Matrix c_ref_backing = to_matrix(c_gemm.backing.view());
+    MatrixView c_ref = c_ref_backing.block(c_gemm.r0, c_gemm.c0, m, n);
+    const Matrix before = to_matrix(c_gemm.backing.view());
 
-    gemm_blocked(alpha, a.cview(), oa, b.cview(), ob, beta, c_blocked.view());
+    gemm(alpha, a.cview(), oa, b.cview(), ob, beta, c_gemm.view());
+    gemm_parallel(alpha, a.cview(), oa, b.cview(), ob, beta, c_par.view());
     gemm_naive(alpha, a.cview(), oa, b.cview(), ob, beta, c_ref);
 
     // Reordered/FMA summation differs from the scalar order by O(k * eps *
     // |A||B|); an indexing or padding bug shows up as O(1).
     const real_t tol = 1e-12 * static_cast<real_t>(k + 1);
-    EXPECT_LT(max_abs_diff(c_blocked.view(), c_ref), tol)
-        << "m=" << m << " n=" << n << " k=" << k << " oa=" << static_cast<int>(oa)
-        << " ob=" << static_cast<int>(ob) << " alpha=" << alpha << " beta=" << beta;
+    for (EmbeddedView* got : {&c_gemm, &c_par}) {
+      const char* path = got == &c_gemm ? "gemm" : "gemm_parallel";
+      EXPECT_LT(max_abs_diff(got->view(), c_ref), tol)
+          << path << " m=" << m << " n=" << n << " k=" << k << " oa=" << static_cast<int>(oa)
+          << " ob=" << static_cast<int>(ob) << " alpha=" << alpha << " beta=" << beta;
 
-    // The ld property: nothing outside the C view may change.
-    for (index_t j = 0; j < c_blocked.backing.cols(); ++j)
-      for (index_t i = 0; i < c_blocked.backing.rows(); ++i) {
-        const bool inside = i >= c_blocked.r0 && i < c_blocked.r0 + m && j >= c_blocked.c0 &&
-                            j < c_blocked.c0 + n;
-        if (!inside)
-          ASSERT_EQ(c_blocked.backing(i, j), before(i, j))
-              << "engine wrote outside the view at (" << i << "," << j << ")";
-      }
+      // The ld property: nothing outside the C view may change.
+      for (index_t j = 0; j < got->backing.cols(); ++j)
+        for (index_t i = 0; i < got->backing.rows(); ++i) {
+          const bool inside =
+              i >= got->r0 && i < got->r0 + m && j >= got->c0 && j < got->c0 + n;
+          if (!inside)
+            ASSERT_EQ(got->backing(i, j), before(i, j))
+                << path << " wrote outside the view at (" << i << "," << j << ")";
+        }
+    }
+    // gemm_parallel's tiles run gemm on sub-views: the same bits.
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i)
+        ASSERT_EQ(c_par.view()(i, j), c_gemm.view()(i, j))
+            << "gemm_parallel differs from gemm at (" << i << "," << j << ") m=" << m
+            << " n=" << n << " k=" << k;
 
-    if (gemm_use_blocked(m, n, k)) ++blocked_dispatch_cases;
+    if (m > kGemmMC && n >= 8 && k >= 8)
+      ++split_cases;
+    else
+      ++single_panel_cases;
   }
-  // Sanity: the pool must exercise both sides of the dispatch cutover.
-  EXPECT_GT(blocked_dispatch_cases, 20);
-  EXPECT_LT(blocked_dispatch_cases, 380);
+  // Sanity: the pool must reach both products gemm_parallel splits into
+  // row panels and products it runs whole.
+  EXPECT_GE(split_cases, 20);
+  EXPECT_GE(single_panel_cases, 20);
 }
 
-TEST(BlasFuzz, PublicGemmDispatchAgreesWithNaive) {
-  // The user-facing entry point (whatever path it picks) must match the
-  // reference for the same mixed bag of shapes.
-  SmallRng rng(77);
+TEST(BlasFuzz, GemmEntriesDoNotDependOnTheirTile) {
+  // Every entry of C runs the same instruction sequence wherever it sits in
+  // the register tiling, so a product restricted to any block of C (the
+  // matching rows of op(A), columns of op(B)) reproduces that block of the
+  // full product bit for bit. gemm_parallel relies on this to split
+  // products over the pool.
+  SmallRng rng(4711);
   for (int iter = 0; iter < 150; ++iter) {
-    const index_t m = draw_dim(rng), n = draw_dim(rng), k = draw_dim(rng);
+    const index_t m = 1 + rng.next_index(80), n = 1 + rng.next_index(24),
+                  k = 1 + rng.next_index(160);
     const Op oa = draw_op(rng), ob = draw_op(rng);
     const real_t alpha = draw_scalar(rng), beta = draw_scalar(rng);
-    const Matrix a = random_matrix(oa == Op::None ? m : k, oa == Op::None ? k : m, 10 + iter);
-    const Matrix b = random_matrix(ob == Op::None ? k : n, ob == Op::None ? n : k, 20 + iter);
-    Matrix c1 = random_matrix(m, n, 30 + iter);
-    Matrix c2 = to_matrix(c1.view());
-    gemm(alpha, a.view(), oa, b.view(), ob, beta, c1.view());
-    gemm_naive(alpha, a.view(), oa, b.view(), ob, beta, c2.view());
-    EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-12 * static_cast<real_t>(k + 1))
-        << "m=" << m << " n=" << n << " k=" << k;
+    const Matrix a = random_matrix(oa == Op::None ? m : k, oa == Op::None ? k : m, 40 + iter);
+    const Matrix b = random_matrix(ob == Op::None ? k : n, ob == Op::None ? n : k, 50 + iter);
+    const Matrix c0 = random_matrix(m, n, 60 + iter);
+    Matrix full = to_matrix(c0.view());
+    gemm(alpha, a.view(), oa, b.view(), ob, beta, full.view());
+
+    const index_t r0 = rng.next_index(m), c0i = rng.next_index(n);
+    const index_t mb = 1 + rng.next_index(m - r0), nb = 1 + rng.next_index(n - c0i);
+    const ConstMatrixView a_rows =
+        oa == Op::None ? a.block(r0, 0, mb, k) : a.block(0, r0, k, mb);
+    const ConstMatrixView b_cols =
+        ob == Op::None ? b.block(0, c0i, k, nb) : b.block(c0i, 0, nb, k);
+    Matrix part = to_matrix(c0.block(r0, c0i, mb, nb));
+    gemm(alpha, a_rows, oa, b_cols, ob, beta, part.view());
+    for (index_t j = 0; j < nb; ++j)
+      for (index_t i = 0; i < mb; ++i)
+        ASSERT_EQ(part(i, j), full(r0 + i, c0i + j))
+            << "m=" << m << " n=" << n << " k=" << k << " block (" << r0 << "," << c0i << ") "
+            << mb << "x" << nb << " oa=" << static_cast<int>(oa) << " ob=" << static_cast<int>(ob);
   }
 }
 
-TEST(BlasFuzz, BlockedGemmExactBlockBoundaries) {
-  // Deterministic sweep of every (m, n, k) within +-1 of a register or
-  // cache-block boundary in at least one dimension.
-  const std::vector<index_t> edges = {kGemmMR - 1,  kGemmMR,  kGemmMR + 1,  kGemmNR - 1,
-                                      kGemmNR,      kGemmNR + 1, kGemmMC - 1, kGemmMC + 1,
-                                      kGemmKC - 1,  kGemmKC + 1};
+TEST(BlasFuzz, GemmExactTileBoundaries) {
+  // Deterministic sweep of every (m, n, k) within +-1 of a register-tile,
+  // staging or panel boundary in at least one dimension, through both
+  // entry points.
+  const std::vector<index_t> edges = {3, 4, 5, 7, 8, 9, 31, 33, kGemmMC - 1, kGemmMC + 1};
   for (index_t m : edges)
-    for (index_t n : {kGemmNR - 1, kGemmNR + 1, index_t{33}})
-      for (index_t k : {index_t{1}, kGemmKC - 1, kGemmKC + 1}) {
+    for (index_t n : {index_t{3}, index_t{5}, index_t{33}})
+      for (index_t k : {index_t{1}, kGemmMC - 1, kGemmMC + 1, index_t{257}}) {
         const Matrix a = random_matrix(m, k, static_cast<std::uint64_t>(m * 31 + k));
         const Matrix b = random_matrix(k, n, static_cast<std::uint64_t>(n * 17 + k));
-        Matrix c1(m, n), c2(m, n);
-        gemm_blocked(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c1.view());
+        Matrix c1(m, n), c2(m, n), c3(m, n);
+        gemm(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c1.view());
+        gemm_parallel(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c3.view());
         gemm_naive(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c2.view());
         EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-12 * static_cast<real_t>(k + 1))
             << "m=" << m << " n=" << n << " k=" << k;
+        EXPECT_EQ(max_abs_diff(c3.view(), c1.view()), 0.0) << "m=" << m << " n=" << n << " k=" << k;
       }
 }
 
@@ -362,13 +392,13 @@ TEST(BlasFuzz, EmptyAndDegenerateShapes) {
   // touch memory.
   Matrix a(4, 0), b(0, 3), c(4, 3);
   c.fill(2.0);
-  gemm_blocked(1.0, a.view(), Op::None, b.view(), Op::None, 0.5, c.view());
+  gemm(1.0, a.view(), Op::None, b.view(), Op::None, 0.5, c.view());
   for (index_t j = 0; j < 3; ++j)
     for (index_t i = 0; i < 4; ++i) EXPECT_EQ(c(i, j), 1.0);
 
   Matrix e0(0, 0);
   EXPECT_NO_THROW(
-      gemm_blocked(1.0, e0.view(), Op::None, e0.view(), Op::None, 0.0, e0.view()));
+      gemm(1.0, e0.view(), Op::None, e0.view(), Op::None, 0.0, e0.view()));
   EXPECT_NO_THROW(trsm_upper_left(e0.view(), Op::None, e0.view()));
   EXPECT_NO_THROW(cholesky_solve(e0.view(), e0.view()));
 
@@ -379,9 +409,9 @@ TEST(BlasFuzz, EmptyAndDegenerateShapes) {
   for (index_t j = 0; j < 5; ++j) EXPECT_DOUBLE_EQ(b1(0, j), 2.0);
 }
 
-TEST(BlasFuzz, BlockedGemmShapeMismatchThrows) {
+TEST(BlasFuzz, GemmShapeMismatchThrows) {
   Matrix a(4, 3), b(4, 5), c(4, 5);
-  EXPECT_THROW(gemm_blocked(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c.view()),
+  EXPECT_THROW(gemm_parallel(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c.view()),
                std::runtime_error);
   EXPECT_THROW(gemm_naive(1.0, a.view(), Op::None, b.view(), Op::None, 0.0, c.view()),
                std::runtime_error);

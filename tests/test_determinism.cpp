@@ -44,7 +44,8 @@ using tree::Admissibility;
 
 struct BuildOutput {
   Matrix dense;
-  Matrix matvec;
+  Matrix matvec;      ///< 17-column apply: four full 4-column tiles plus an edge
+  Matrix matvec_one;  ///< one-column apply: the query path
   index_t total_samples = 0;
   index_t sample_rounds = 0;
   index_t min_rank = 0;
@@ -89,10 +90,12 @@ BuildOutput build_with_threads(int threads, Input input) {
 
   BuildOutput out;
   out.dense = h2::densify(res.matrix);
-  Matrix x(600, 3), y(600, 3);
+  Matrix x(600, 17), y(600, 17), y1(600, 1);
   fill_gaussian(x.view(), GaussianStream(99));
   h2::h2_matvec(res.matrix, x.view(), y.view());
+  h2::h2_matvec(res.matrix, x.view().col_range(0, 1), y1.view());
   out.matvec = std::move(y);
+  out.matvec_one = std::move(y1);
   out.total_samples = res.stats.total_samples;
   out.sample_rounds = res.stats.sample_rounds;
   out.min_rank = res.stats.min_rank;
@@ -123,6 +126,8 @@ TEST(Determinism, ConstructionIsBitwiseIdenticalAcrossThreadCounts) {
           << what << threads << " threads";
       EXPECT_EQ(max_abs_diff(got.matvec.view(), ref.matvec.view()), 0.0)
           << what << threads << " threads";
+      EXPECT_EQ(max_abs_diff(got.matvec_one.view(), ref.matvec_one.view()), 0.0)
+          << what << threads << " threads, one column";
     }
   }
 }

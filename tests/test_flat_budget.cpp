@@ -59,7 +59,7 @@ TEST(FlatBudget, PaperConfigSampleCountIsFlatInN) {
   // The paper's operating point: sample block d >= rank + oversampling.
   // Recorded behavior: one 64-column round converges everywhere at both
   // sizes. Envelopes rather than exact pins: convergence probes sit on
-  // floating-point thresholds and the per-process microkernel selection
+  // floating-point thresholds and the per-process GEMM clone selection
   // (base/AVX2+FMA/AVX-512) can legitimately shift a node by one round on
   // other hardware — the guard is against growth *in N*, not ISA jitter.
   const FlatBudgetRun small = run_construction(2048, /*initial=*/64, /*block=*/32);
