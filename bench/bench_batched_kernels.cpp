@@ -67,9 +67,10 @@ void BM_BsrGemm(benchmark::State& state) {
   for (auto& b : blocks) blv.push_back(b.view());
   for (auto& x : xs) xv.push_back(x.view());
   for (auto& y : ys) yv.push_back(y.view());
+  const std::vector<la::Op> ops(blv.size(), la::Op::None);
   batched::ExecutionContext ctx(batched::Backend::Batched);
   for (auto _ : state) {
-    batched::bsr_gemm(ctx, 1.0, row_ptr, col, blv, xv, yv);
+    batched::bsr_gemm(ctx, 1.0, row_ptr, col, blv, ops, xv, yv);
     benchmark::DoNotOptimize(ys[0].data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<index_t>(col.size()));

@@ -34,29 +34,15 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/proxy_sampler.hpp"
 #include "solver/hss_construction.hpp"
-#include "solver/hss_matrix.hpp"
 
 using namespace h2sketch;
 using namespace h2sketch::bench;
 
 namespace {
-
-/// Black-box adapter over the HSS fast matvec, for the error estimator.
-class HssSampler final : public kern::MatVecSampler {
- public:
-  explicit HssSampler(const solver::HssMatrix& a) : a_(&a) {}
-  index_t size() const override { return a_->size(); }
-  void sample(ConstMatrixView omega, MatrixView y) override {
-    a_->matvec(omega, y);
-    record_samples(omega.cols);
-  }
-
- private:
-  const solver::HssMatrix* a_;
-};
 
 struct HeadToHead {
   std::string workload;
@@ -115,7 +101,7 @@ HeadToHead run_hss(index_t n, real_t tol, int err_iters) {
   r.speedup = r.exact_seconds / r.proxy_total();
 
   kern::KernelMatVecSampler oracle(*tree, kernel);
-  HssSampler se(res_e.matrix), sp(res_p.matrix);
+  h2::H2Sampler se(res_e.matrix), sp(res_p.matrix);
   r.exact_err = core::relative_error_2norm(oracle, se, err_iters);
   r.proxy_err = core::relative_error_2norm(oracle, sp, err_iters);
   return r;

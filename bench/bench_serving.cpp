@@ -2,7 +2,7 @@
 /// many concurrent single-RHS clients. For each concurrent-client count it
 /// measures the one-launch-per-request baseline (every client drives its
 /// own context and every request is its own blocked-size-1 launch) against
-/// the coalescing engine (requests batched into one `HssMatrix::matvec` /
+/// the coalescing engine (requests batched into one `h2_matvec` /
 /// `solve_many` launch per tick), reporting ops/s and p50/p99 request
 /// latency for both, plus the realized mean batch size and flush-reason
 /// split. Results go to BENCH_serving.json; the coalesced path is expected

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/errors.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
 #include "h2/h2_io.hpp"
@@ -29,10 +30,7 @@ int cmd_compress(int argc, char** argv) {
   const std::string which = argc > 4 ? argv[4] : "exp";
   const real_t tol = argc > 5 ? std::atof(argv[5]) : 1e-6;
 
-  std::unique_ptr<kern::KernelFunction> kernel;
-  if (which == "helm") kernel = std::make_unique<kern::HelmholtzCosKernel>(3.0);
-  else if (which == "matern") kernel = std::make_unique<kern::Matern32Kernel>(0.3);
-  else kernel = std::make_unique<kern::ExponentialKernel>(0.2);
+  const std::unique_ptr<kern::KernelFunction> kernel = kern::kernel_by_name(which);
 
   auto tr = std::make_shared<tree::ClusterTree>(
       tree::ClusterTree::build(geo::uniform_random_cube(n, 3, 7), 32));
@@ -73,9 +71,7 @@ int cmd_matvec(const char* path) {
   return 0;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "compress") == 0) return cmd_compress(argc, argv);
   if (argc >= 3 && std::strcmp(argv[1], "info") == 0) return cmd_info(argv[2]);
   if (argc >= 3 && std::strcmp(argv[1], "matvec") == 0) return cmd_matvec(argv[2]);
@@ -93,4 +89,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   return 2;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (an unknown kernel name, a tol that is not positive) is
+  // reported, not aborted on.
+  try {
+    return run(argc, argv);
+  } catch (const InvalidArgumentError& e) {
+    std::cerr << "h2_tool: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -7,11 +7,14 @@
 
 /// \file block_arena.hpp
 /// Packed per-level arena of device-resident matrix blocks — the storage
-/// unit behind the device-resident `H2Matrix` / `HssMatrix` / ULV factor.
+/// unit behind the device-resident `H2Matrix` (H2 and HSS alike) and the
+/// ULV factor.
 ///
 /// One arena holds every block of one kind at one level (all leaf bases,
 /// all transfers, all coupling blocks, ...) in a single `DeviceBuffer`,
-/// with 64-byte aligned slots carved out per block. Builders either
+/// with 64-byte aligned slots carved out per block. A 0 x 0 slot takes no
+/// bytes, which is how an H2Matrix stores each mirrored coupling pair once
+/// while keeping one slot per CSR entry. Builders either
 ///
 ///  * **write through**: `reset` + `set_shape` each slot, `allocate` once,
 ///    then target `dev(i)` views from kernel launches / explicit uploads —

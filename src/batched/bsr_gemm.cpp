@@ -13,6 +13,7 @@ namespace {
 struct BsrLaunch {
   std::vector<index_t> row_ptr, col;
   std::vector<ConstMatrixView> blocks, x;
+  std::vector<la::Op> ops;
   std::vector<MatrixView> y;
 };
 
@@ -20,22 +21,24 @@ struct BsrLaunch {
 
 void bsr_gemm(ExecutionContext& ctx, StreamId stream, real_t alpha,
               std::vector<index_t> row_ptr, std::vector<index_t> col,
-              std::vector<ConstMatrixView> blocks, std::vector<ConstMatrixView> x,
-              std::vector<MatrixView> y) {
+              std::vector<ConstMatrixView> blocks, std::vector<la::Op> ops,
+              std::vector<ConstMatrixView> x, std::vector<MatrixView> y) {
   obs::ScopedLaunchLabel label("bsr_gemm");
   obs::TraceSpan span("backend", "bsr_gemm", "blocks", blocks.size());
   ctx.device().on_launch("bsr_gemm");
   H2S_CHECK(!row_ptr.empty(), "bsr_gemm: row_ptr must have at least one entry");
   const index_t rows = static_cast<index_t>(row_ptr.size()) - 1;
   H2S_CHECK(static_cast<index_t>(y.size()) == rows, "bsr_gemm: output count mismatch");
-  H2S_CHECK(col.size() == blocks.size(), "bsr_gemm: block count mismatch");
+  H2S_CHECK(col.size() == blocks.size() && ops.size() == blocks.size(),
+            "bsr_gemm: block count mismatch");
   if (blocks.empty()) return;
 
   auto st = std::make_shared<BsrLaunch>(BsrLaunch{std::move(row_ptr), std::move(col),
-                                                  std::move(blocks), std::move(x), std::move(y)});
+                                                  std::move(blocks), std::move(x), std::move(ops),
+                                                  std::move(y)});
 
-  // Entry r: y[r] += alpha * blocks[e] * x[col[e]] for row r's blocks e in
-  // CSR order, each product one la::gemm.
+  // Entry r: y[r] += alpha * op_e(blocks[e]) * x[col[e]] for row r's blocks
+  // e in CSR order, each product one la::gemm.
   ctx.run_batch(
       stream, rows,
       [&g = *st](index_t r) {
@@ -54,7 +57,7 @@ void bsr_gemm(ExecutionContext& ctx, StreamId stream, real_t alpha,
              e < st->row_ptr[static_cast<size_t>(r + 1)]; ++e) {
           const auto ue = static_cast<size_t>(e);
           if (st->blocks[ue].empty()) continue;
-          la::gemm(alpha, st->blocks[ue], la::Op::None, st->x[static_cast<size_t>(st->col[ue])],
+          la::gemm(alpha, st->blocks[ue], st->ops[ue], st->x[static_cast<size_t>(st->col[ue])],
                    la::Op::None, 1.0, y_r);
         }
       });
@@ -62,9 +65,11 @@ void bsr_gemm(ExecutionContext& ctx, StreamId stream, real_t alpha,
 
 void bsr_gemm(ExecutionContext& ctx, real_t alpha, const_index_span row_ptr,
               const_index_span col, std::span<const ConstMatrixView> blocks,
-              std::span<const ConstMatrixView> x, std::span<const MatrixView> y) {
+              std::span<const la::Op> ops, std::span<const ConstMatrixView> x,
+              std::span<const MatrixView> y) {
   bsr_gemm(ctx, kSampleStream, alpha, {row_ptr.begin(), row_ptr.end()}, {col.begin(), col.end()},
-           {blocks.begin(), blocks.end()}, {x.begin(), x.end()}, {y.begin(), y.end()});
+           {blocks.begin(), blocks.end()}, {ops.begin(), ops.end()}, {x.begin(), x.end()},
+           {y.begin(), y.end()});
   ctx.sync(kSampleStream);
 }
 

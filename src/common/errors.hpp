@@ -19,9 +19,11 @@
 ///    (OperatorCache build retry/backoff, coalescer CPU-degrade retry) key
 ///    off this.
 ///  * **not retryable** — a deterministic property of the inputs
-///    (`NumericalError`: the matrix is not numerically SPD). Re-running the
-///    identical computation reproduces the failure; recovery needs to
-///    *change* something (ulv_factor's escalating ridge bump) or give up.
+///    (`NumericalError`: the matrix is not numerically SPD;
+///    `InvalidArgumentError`: the input breaks an entry point's contract).
+///    Re-running the identical computation reproduces the failure; recovery
+///    needs to *change* something (ulv_factor's escalating ridge bump, a
+///    corrected input) or give up.
 
 namespace h2sketch {
 
@@ -64,6 +66,14 @@ class LaunchError : public Error {
 class NumericalError : public Error {
  public:
   explicit NumericalError(const std::string& what) : Error(what, /*retryable=*/false) {}
+};
+
+/// An input breaks the contract of a public entry point: a tolerance that is
+/// not finite and positive, a non-finite coordinate, an unknown kernel name.
+/// Not retryable: the same input is rejected the same way.
+class InvalidArgumentError : public Error {
+ public:
+  explicit InvalidArgumentError(const std::string& what) : Error(what, /*retryable=*/false) {}
 };
 
 /// A bounded admission queue rejected a request. Carries the queue depth at

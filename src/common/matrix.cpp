@@ -16,6 +16,12 @@ void copy(ConstMatrixView src, MatrixView dst) {
     for (index_t i = 0; i < src.rows; ++i) dst(i, j) = src(i, j);
 }
 
+void copy_transposed(ConstMatrixView src, MatrixView dst) {
+  H2S_CHECK(src.rows == dst.cols && src.cols == dst.rows, "copy_transposed: shape mismatch");
+  for (index_t j = 0; j < src.cols; ++j)
+    for (index_t i = 0; i < src.rows; ++i) dst(j, i) = src(i, j);
+}
+
 void set_all(MatrixView a, real_t v) {
   for (index_t j = 0; j < a.cols; ++j)
     for (index_t i = 0; i < a.rows; ++i) a(i, j) = v;

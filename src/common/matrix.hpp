@@ -131,6 +131,9 @@ Matrix to_matrix(ConstMatrixView a);
 /// Copy src into dst (dimensions must match).
 void copy(ConstMatrixView src, MatrixView dst);
 
+/// dst = src^T (dst is src.cols x src.rows).
+void copy_transposed(ConstMatrixView src, MatrixView dst);
+
 /// Set every entry of the view to a constant.
 void set_all(MatrixView a, real_t v);
 

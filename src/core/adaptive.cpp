@@ -118,7 +118,8 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
       // FIFO order stands in for a barrier.
       batched::bsr_gemm(ctx_, batched::kSampleStream, -1.0,
                         {near.row_ptr.begin(), near.row_ptr.end()},
-                        {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
+                        {near.col.begin(), near.col.end()}, std::move(blocks),
+                        std::vector<la::Op>(near.col.size(), la::Op::None), std::move(xv),
                         std::move(yv));
     }
     return;
@@ -147,9 +148,9 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
   const auto& far_child = out_.mtree.far[uc];
   if (!far_child.empty()) {
     std::vector<ConstMatrixView> blocks, xv;
+    std::vector<la::Op> ops;
     std::vector<MatrixView> yv;
-    for (index_t e = 0; e < out_.coupling[uc].count(); ++e)
-      blocks.push_back(out_.coupling[uc].dev(e));
+    out_.coupling_operands(child_level, blocks, ops);
     for (index_t nu = 0; nu < tree_->nodes_at(child_level); ++nu) {
       const auto un = static_cast<size_t>(nu);
       xv.push_back(omega_up_[uc][un].view().col_range(c0, dn));
@@ -162,7 +163,7 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
     batched::bsr_gemm(ctx_, batched::kSampleStream, -1.0,
                       {far_child.row_ptr.begin(), far_child.row_ptr.end()},
                       {far_child.col.begin(), far_child.col.end()}, std::move(blocks),
-                      std::move(xv), std::move(yv));
+                      std::move(ops), std::move(xv), std::move(yv));
   }
 }
 

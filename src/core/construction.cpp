@@ -1,9 +1,12 @@
 #include "core/construction.hpp"
 
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "batched/batched_gemm.hpp"
 #include "batched/batched_id.hpp"
+#include "common/errors.hpp"
 #include "core/builder.hpp"
 #include "la/blas.hpp"
 #include "obs/metrics.hpp"
@@ -239,22 +242,26 @@ void H2SketchBuilder::generate_coupling(index_t level) {
   const auto ul = static_cast<size_t>(level);
   const auto& far = out_.mtree.far[ul];
   if (far.empty()) return;
-  // Coupling blocks are generated directly into the level's packed arena.
+  // Coupling blocks are generated directly into the level's packed arena,
+  // one per mirrored pair: B_{r,c} with r < c; the (c, r) entry keeps a
+  // 0 x 0 slot and is read as B_{r,c}^T.
   for (index_t r = 0; r < tree_->nodes_at(level); ++r)
     for (index_t j = 0; j < far.row_count(r); ++j) {
       const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
       const index_t c = far.col[static_cast<size_t>(e)];
-      out_.coupling[ul].set_shape(
-          e, static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(r)].size()),
-          static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(c)].size()));
+      if (r < c)
+        out_.coupling[ul].set_shape(
+            e, static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(r)].size()),
+            static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(c)].size()));
     }
   out_.coupling[ul].allocate(ctx_.device());
   std::vector<kern::BlockRequest> reqs;
-  reqs.reserve(static_cast<size_t>(far.count()));
+  reqs.reserve(static_cast<size_t>(far.count() / 2));
   for (index_t r = 0; r < tree_->nodes_at(level); ++r) {
     for (index_t j = 0; j < far.row_count(r); ++j) {
       const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
       const index_t c = far.col[static_cast<size_t>(e)];
+      if (r > c) continue;
       const auto& rs = out_.skeleton[ul][static_cast<size_t>(r)];
       const auto& cs = out_.skeleton[ul][static_cast<size_t>(c)];
       reqs.push_back({rs, cs, out_.coupling[ul].dev(e)});
@@ -300,6 +307,11 @@ ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const tree::Admissibility& adm, kern::MatVecSampler& sampler,
                                 const kern::EntryGenerator& gen, const ConstructionOptions& opts,
                                 batched::ExecutionContext& ctx) {
+  // A zero or negative tol would ask for an exact operator: the adaptive
+  // loop then samples until every node reaches full rank (N/2 at the top).
+  if (!std::isfinite(opts.tol) || opts.tol <= 0)
+    throw InvalidArgumentError("construct_h2: tol must be finite and > 0, got " +
+                               std::to_string(opts.tol));
   detail::H2SketchBuilder builder(std::move(tree), adm, sampler, gen, opts, ctx);
   // The builder's launches reference its sampling panels; if construction
   // unwinds (e.g. an injected device fault), drain the streams before the

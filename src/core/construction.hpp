@@ -40,7 +40,8 @@ struct ConstructionResult {
 };
 
 /// Run Algorithm 1 under the given execution context (Batched = GPU-shaped
-/// path, Naive = per-block path; identical results either way).
+/// path, Naive = per-block path; identical results either way). Throws
+/// InvalidArgumentError unless opts.tol is finite and > 0.
 ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const tree::Admissibility& adm, kern::MatVecSampler& sampler,
                                 const kern::EntryGenerator& gen, const ConstructionOptions& opts,

@@ -132,13 +132,15 @@ H2Matrix build_cheb_h2(std::shared_ptr<const tree::ClusterTree> tree,
     }
   }
 
-  // Coupling blocks: kernel between the two grids.
+  // Coupling blocks: kernel between the two grids, one per mirrored pair
+  // (s < c); the (c, s) slot stays 0 x 0.
   for (index_t l = 0; l < t.num_levels(); ++l) {
     const auto& far = a.mtree.far[static_cast<size_t>(l)];
     for (index_t s = 0; s < t.nodes_at(l); ++s) {
       for (index_t j = 0; j < far.row_count(s); ++j) {
         const index_t e = far.row_ptr[static_cast<size_t>(s)] + j;
         const index_t c = far.col[static_cast<size_t>(e)];
+        if (s > c) continue;
         const ChebGrid& gs = grids[static_cast<size_t>(l)][static_cast<size_t>(s)];
         const ChebGrid& gc = grids[static_cast<size_t>(l)][static_cast<size_t>(c)];
         Matrix b(rank, rank);

@@ -45,19 +45,24 @@ Matrix densify(const H2Matrix& a) {
     parallel_for(t.nodes_at(l), [&](index_t i) {
       if (needed[static_cast<size_t>(i)]) expanded[static_cast<size_t>(i)] = expand_basis(a, l, i);
     });
-    // Every far entry writes a disjoint block of K (distinct (s, c) index
-    // ranges), so the leaf-level densification runs one task per entry.
-    parallel_for(far.count(), [&](index_t e) {
-      index_t s = 0;
-      while (far.row_ptr[static_cast<size_t>(s + 1)] <= e) ++s;
-      const index_t c = far.col[static_cast<size_t>(e)];
-      const Matrix& b = a.coupling[static_cast<size_t>(l)].host(e);
-      Matrix ub(t.size(l, s), b.cols());
-      la::gemm(1.0, expanded[static_cast<size_t>(s)].view(), la::Op::None, b.view(), la::Op::None,
-               0.0, ub.view());
-      la::gemm(1.0, ub.view(), la::Op::None, expanded[static_cast<size_t>(c)].view(),
-               la::Op::Trans, 1.0,
-               k.view().block(t.begin(l, s), t.begin(l, c), t.size(l, s), t.size(l, c)));
+    // Each mirrored pair is one stored block B_{s,c} (s < c): row s writes
+    // the (s, c) block of K and its exact transpose at (c, s). No two rows
+    // write the same block, so the densification runs one task per row.
+    parallel_for(t.nodes_at(l), [&](index_t s) {
+      for (index_t j = 0; j < far.row_count(s); ++j) {
+        const index_t c = far.col_at(s, j);
+        if (c < s) continue;
+        const Matrix& b =
+            a.coupling[static_cast<size_t>(l)].host(far.row_ptr[static_cast<size_t>(s)] + j);
+        Matrix ub(t.size(l, s), b.cols());
+        la::gemm(1.0, expanded[static_cast<size_t>(s)].view(), la::Op::None, b.view(),
+                 la::Op::None, 0.0, ub.view());
+        MatrixView blk = k.view().block(t.begin(l, s), t.begin(l, c), t.size(l, s), t.size(l, c));
+        la::gemm(1.0, ub.view(), la::Op::None, expanded[static_cast<size_t>(c)].view(),
+                 la::Op::Trans, 1.0, blk);
+        copy_transposed(blk, k.view().block(t.begin(l, c), t.begin(l, s), t.size(l, c),
+                                            t.size(l, s)));
+      }
     });
   }
 

@@ -11,17 +11,6 @@ namespace h2sketch::h2 {
 
 namespace {
 
-/// CSR lookup: entry index of (r, c) in `list`, or -1.
-index_t find_entry(const tree::LevelBlockList& list, index_t r, index_t c) {
-  const index_t lo = list.row_ptr[static_cast<size_t>(r)];
-  const index_t hi = list.row_ptr[static_cast<size_t>(r + 1)];
-  const auto begin = list.col.begin() + lo;
-  const auto end = list.col.begin() + hi;
-  const auto it = std::lower_bound(begin, end, c);
-  if (it != end && *it == c) return lo + static_cast<index_t>(it - begin);
-  return -1;
-}
-
 /// A cluster tree node.
 struct Node {
   index_t level;
@@ -83,7 +72,7 @@ void H2EntryGenerator::eval(const_index_span rows, const_index_span cols, Matrix
 
   // Inadmissible leaf pair: copy from D.
   if (l0 == leaf) {
-    const index_t e = find_entry(a_->mtree.near_leaf, s, c);
+    const index_t e = a_->mtree.near_leaf.find(s, c);
     if (e >= 0) {
       const Matrix& d = a_->dense.host(e);
       const index_t r0 = t.begin(leaf, s), c0 = t.begin(leaf, c);
@@ -96,16 +85,26 @@ void H2EntryGenerator::eval(const_index_span rows, const_index_span cols, Matrix
     }
   }
   // Admissible: the first far block on the way up covers the whole request.
+  // A mirrored pair is evaluated from its stored block in the stored
+  // orientation, U_c(cols) B_{c,s} U_s(rows)^T, and transposed out, so the
+  // two triangles of the result agree bit for bit.
   for (index_t l = l0; l >= 0; --l) {
     const index_t up = l0 - l;
-    const index_t e = find_entry(a_->mtree.far[static_cast<size_t>(l)], s >> up, c >> up);
-    if (e < 0) continue;
-    const Matrix& b = a_->coupling[static_cast<size_t>(l)].host(e);
-    const Matrix u = basis_rows(l, rows);
-    const Matrix v = basis_rows(l, cols);
-    Matrix ub(out.rows, b.cols());
+    const H2Matrix::CouplingRef ref = a_->coupling_ref(l, s >> up, c >> up);
+    if (ref.slot < 0) continue;
+    const bool mirrored = ref.op == la::Op::Trans;
+    const Matrix& b = a_->coupling[static_cast<size_t>(l)].host(ref.slot);
+    const Matrix u = basis_rows(l, mirrored ? cols : rows);
+    const Matrix v = basis_rows(l, mirrored ? rows : cols);
+    Matrix ub(u.rows(), b.cols());
     la::gemm(1.0, u.view(), la::Op::None, b.view(), la::Op::None, 0.0, ub.view());
-    la::gemm(1.0, ub.view(), la::Op::None, v.view(), la::Op::Trans, 0.0, out);
+    if (!mirrored) {
+      la::gemm(1.0, ub.view(), la::Op::None, v.view(), la::Op::Trans, 0.0, out);
+      return;
+    }
+    Matrix outt(out.cols, out.rows);
+    la::gemm(1.0, ub.view(), la::Op::None, v.view(), la::Op::Trans, 0.0, outt.view());
+    copy_transposed(outt.view(), out);
     return;
   }
   H2S_CHECK(l0 < leaf, "H2 entry (" << rows[0] << "," << cols[0] << ") not covered by any block");

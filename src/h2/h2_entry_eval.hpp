@@ -17,7 +17,9 @@
 ///      out = U_s(rows, :) * B_{s,t} * U_t(cols, :)^T,
 ///    two gemms, with U_s(rows, :) built by gathering the leaf-basis rows
 ///    and climbing the transfer chain of Eq. (2) up to level l (one gemm per
-///    child run per level).
+///    child run per level). For s > t only B_{t,s} is stored; the request
+///    is evaluated as U_t(cols, :) * B_{t,s} * U_s(rows, :)^T and written
+///    out transposed, so both triangles carry the same bits.
 ///  * A request that crosses a subdivided pair is split by child and its
 ///    parts resolved the same way.
 ///

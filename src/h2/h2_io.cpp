@@ -11,7 +11,10 @@ namespace h2sketch::h2 {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4832534b45544348ull; // "H2SKETCH"
-constexpr std::uint32_t kVersion = 1;
+/// Version 2 stores each mirrored coupling pair once: the (t, s) slot of a
+/// pair with s < t is written as a 0 x 0 block. Version-1 streams, which
+/// carry both blocks, are rejected.
+constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
 void put(std::ostream& os, const T& v) {

@@ -8,8 +8,9 @@
 /// Binary (de)serialization of H2 matrices, including the cluster geometry
 /// and block partitioning, so a compressed operator can be built once and
 /// reloaded for repeated matvec/solve workloads. The format is a simple
-/// versioned little-endian stream; it is not exchange-stable across
-/// architectures with different endianness.
+/// versioned little-endian stream (version 2: each mirrored coupling pair
+/// stored once); it is not exchange-stable across architectures with
+/// different endianness.
 
 namespace h2sketch::h2 {
 

@@ -21,6 +21,25 @@ void H2Matrix::init_structure() {
   dense.reset(mtree.near_leaf.count());
 }
 
+H2Matrix::CouplingRef H2Matrix::coupling_ref(index_t level, index_t r, index_t c) const {
+  const auto& far = mtree.far[static_cast<size_t>(level)];
+  if (r < c) return {far.find(r, c), la::Op::None};
+  return {far.find(c, r), la::Op::Trans};
+}
+
+void H2Matrix::coupling_operands(index_t level, std::vector<ConstMatrixView>& blocks,
+                                 std::vector<la::Op>& ops) const {
+  const auto& far = mtree.far[static_cast<size_t>(level)];
+  blocks.clear();
+  ops.clear();
+  for (index_t r = 0; r < tree->nodes_at(level); ++r)
+    for (index_t j = 0; j < far.row_count(r); ++j) {
+      const CouplingRef ref = coupling_ref(level, r, far.col_at(r, j));
+      blocks.push_back(coupling[static_cast<size_t>(level)].dev(ref.slot));
+      ops.push_back(ref.op);
+    }
+}
+
 index_t H2Matrix::min_rank() const {
   index_t mn = -1;
   for (index_t l = 0; l < num_levels(); ++l) {
@@ -97,14 +116,20 @@ void H2Matrix::validate() const {
         H2S_CHECK(static_cast<index_t>(skeleton[ul][ui].size()) == r,
                   "skeleton size != rank at level " << l << " node " << i);
     }
-    // Coupling blocks match the CSR far list and the node ranks.
+    // Coupling blocks match the CSR far list and the node ranks; each
+    // mirrored pair keeps its block in the r < c entry only.
     const auto& far = mtree.far[ul];
     H2S_CHECK(coupling[ul].count() == far.count(), "coupling count mismatch at level " << l);
     for (index_t rnode = 0; rnode < tree->nodes_at(l); ++rnode)
       for (index_t j = 0; j < far.row_count(rnode); ++j) {
         const index_t e = far.row_ptr[static_cast<size_t>(rnode)] + j;
         const index_t cnode = far.col[static_cast<size_t>(e)];
-        H2S_CHECK(coupling[ul].rows(e) == rank(l, rnode) && coupling[ul].cols(e) == rank(l, cnode),
+        H2S_CHECK(rnode != cnode && far.find(cnode, rnode) >= 0,
+                  "far pair (" << rnode << ", " << cnode << ") at level " << l
+                               << " has no mirror");
+        const bool stored = rnode < cnode;
+        H2S_CHECK(coupling[ul].rows(e) == (stored ? rank(l, rnode) : 0) &&
+                      coupling[ul].cols(e) == (stored ? rank(l, cnode) : 0),
                   "coupling dims mismatch at level " << l << " entry " << e);
       }
   }

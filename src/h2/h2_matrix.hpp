@@ -5,6 +5,7 @@
 
 #include "backend/block_arena.hpp"
 #include "common/matrix.hpp"
+#include "la/blas.hpp"
 #include "tree/matrix_tree.hpp"
 
 /// \file h2_matrix.hpp
@@ -15,11 +16,21 @@
 ///  * Inner nodes store stacked transfer matrices [E_left; E_right]
 ///    ((r_left + r_right) x r_tau), implicitly defining
 ///    U_tau = diag(U_left, U_right) [E_left; E_right]  (Eq. (2)).
-///  * Each admissible pair (s, t) at its level stores a coupling matrix
+///  * Each admissible pair (s, t) at its level couples through
 ///    B_{s,t} (r_s x r_t); each inadmissible leaf pair stores a dense block.
 ///
-/// The matrix is symmetric (V = U). All blocks are indexed in the cluster
-/// tree's permuted position space, following the matrix tree's CSR lists.
+/// The matrix is symmetric (V = U, B_{t,s} = B_{s,t}^T). Each mirrored far
+/// pair is stored once: the (s, t) entry of `mtree.far[l]` with s < t holds
+/// B_{s,t}, and the (t, s) entry keeps its CSR position with a 0 x 0 slot;
+/// readers find the stored block with one `LevelBlockList::find` and read it
+/// transposed (`coupling_ref`). The near field keeps both triangles. All
+/// blocks are indexed in the cluster tree's permuted position space,
+/// following the matrix tree's CSR lists.
+///
+/// An HSS matrix is the H2Matrix of a weak-admissibility build: one far
+/// entry per sibling pair at every level below the root (coupling entry 2p
+/// holds B_{2p,2p+1}) and the leaf diagonals as the only near blocks. The
+/// ULV factorization (solver/ulv.hpp) reads exactly that pattern.
 ///
 /// Storage is **device-resident**: each per-level family of blocks lives
 /// packed in one `backend::BlockArena` (one DeviceBuffer per level per
@@ -28,6 +39,10 @@
 /// consumers (densify, io, entry evaluation) go through the arenas' lazy
 /// `host(i)` mirrors. The matrix is move-only and pinned to the backend it
 /// was built on (`execution_config()`).
+
+namespace h2sketch::batched {
+class ExecutionContext;
+} // namespace h2sketch::batched
 
 namespace h2sketch::h2 {
 
@@ -44,7 +59,9 @@ class H2Matrix {
   /// ((rank(l+1,2i) + rank(l+1,2i+1)) x rank(l,i)).
   std::vector<backend::BlockArena> basis;
 
-  /// coupling[l], slot e: B for the e-th CSR entry of mtree.far[l].
+  /// coupling[l], slot e: B for the e-th CSR entry (r, c) of mtree.far[l]
+  /// when r < c; a 0 x 0 slot when r > c (the block is the stored
+  /// B_{c,r}^T, see coupling_ref).
   std::vector<backend::BlockArena> coupling;
 
   /// Slot e: D for the e-th CSR entry of mtree.near_leaf.
@@ -65,6 +82,24 @@ class H2Matrix {
 
   /// Allocate empty per-level containers sized to the trees.
   void init_structure();
+
+  /// Where the block of far pair (r, c) at `level` is stored: the coupling
+  /// slot and the op that reads B_{r,c} from it (la::Op::None for r < c,
+  /// la::Op::Trans on the (c, r) slot for r > c). slot is -1 when (r, c) is
+  /// not a far pair of the level.
+  struct CouplingRef {
+    index_t slot;
+    la::Op op;
+  };
+  CouplingRef coupling_ref(index_t level, index_t r, index_t c) const;
+
+  /// Device views and read ops of every far entry at `level`, in CSR order:
+  /// the operands of the level's coupling bsr_gemm.
+  void coupling_operands(index_t level, std::vector<ConstMatrixView>& blocks,
+                         std::vector<la::Op>& ops) const;
+
+  /// y = A * x through h2_matvec (h2_matvec.hpp) on the caller's context.
+  void matvec(batched::ExecutionContext& ctx, ConstMatrixView x, MatrixView y) const;
 
   /// Smallest/largest rank over all nodes at levels that carry far blocks
   /// (the paper's "rank range" in Table II).
@@ -87,7 +122,9 @@ class H2Matrix {
   backend::ExecutionConfig execution_config() const;
 
   /// Structural consistency: every dimension implied by ranks, cluster
-  /// sizes and CSR lists must match. Throws on violation.
+  /// sizes and CSR lists must match, every far pair must have its mirror,
+  /// and only the s < t entry of a mirrored pair may hold a block. Throws on
+  /// violation.
   void validate() const;
 };
 

@@ -40,11 +40,13 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   // Marshal into device memory: the input/output panels and every per-level
   // coefficient block come from one arena reservation (one backing
   // allocation per matvec, the paper's prefix-sum pattern), sized up front.
+  // The root carries no far block (a node is never admissible with itself),
+  // so the low-rank chain runs on levels 1..leaf only.
   Workspace& ws = ctx.workspace();
   ws.reset();
   {
     std::size_t total = 2 * Workspace::panel_bytes(n, d) + 64;
-    for (index_t l = 0; l < levels; ++l)
+    for (index_t l = 1; l < levels; ++l)
       for (index_t i = 0; i < t.nodes_at(l); ++i)
         total += 2 * Workspace::panel_bytes(a.rank(l, i), d);
     ws.reserve_bytes(total);
@@ -60,7 +62,7 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   // launches rely on it.
   std::vector<std::vector<MatrixView>> xhat(static_cast<size_t>(levels)),
       yhat(static_cast<size_t>(levels));
-  for (index_t l = 0; l < levels; ++l) {
+  for (index_t l = 1; l < levels; ++l) {
     const index_t nodes = t.nodes_at(l);
     xhat[static_cast<size_t>(l)].resize(static_cast<size_t>(nodes));
     yhat[static_cast<size_t>(l)].resize(static_cast<size_t>(nodes));
@@ -69,6 +71,9 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
       yhat[static_cast<size_t>(l)][static_cast<size_t>(i)] = ws.panel(a.rank(l, i), d);
     }
   }
+  // Pending launches write into the workspace arena; if a launch fault
+  // unwinds this call, drain them before the caller can reset or reuse it.
+  batched::StreamFence fence(ctx);
   // One bulk zero fill from yd through the last coefficient panel (one
   // kernel scope and one memset instead of two per node); xd sits before
   // the span and is filled by the upload instead.
@@ -92,9 +97,17 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
         yv.push_back(yd.row_range(t.begin(leaf, i), t.size(leaf, i)));
       }
       batched::bsr_gemm(ctx, kNearField, 1.0, {near.row_ptr.begin(), near.row_ptr.end()},
-                        {near.col.begin(), near.col.end()}, std::move(blocks), std::move(xv),
+                        {near.col.begin(), near.col.end()}, std::move(blocks),
+                        std::vector<la::Op>(near.col.size(), la::Op::None), std::move(xv),
                         std::move(yv));
     }
+  }
+
+  if (levels == 1) {
+    // A one-node tree is all near field.
+    ctx.sync_all();
+    dev.download(yd, y);
+    return;
   }
 
   // Upward pass, leaf: xhat = U^T xd(I_tau, :).
@@ -119,7 +132,7 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
 
   // Upward pass, inner: xhat_tau = E_left^T xhat_l + E_right^T xhat_r.
   // Level-to-level dependencies ride the stream's FIFO order — no barriers.
-  for (index_t l = leaf - 1; l >= 0; --l) {
+  for (index_t l = leaf - 1; l >= 1; --l) {
     // Two half-launches (left children then right children) so each parent
     // coefficient block is written by one entry per launch.
     for (int side = 0; side < 2; ++side) {
@@ -146,26 +159,27 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
     }
   }
 
-  // Coupling phase: yhat[s] += B_{s,t} xhat[t] per level, conflict-free BSR.
-  // Levels are mutually independent given the finished upward pass (each
-  // writes only its own yhat[l]), so they fan out across streams.
+  // Coupling phase: yhat[s] += B_{s,t} xhat[t] per level, conflict-free BSR;
+  // a mirrored entry reads its stored B_{t,s} transposed. Levels are
+  // mutually independent given the finished upward pass (each writes only
+  // its own yhat[l]), so they fan out across streams.
   ctx.sync(kLowRank);
   int spill = 0;
-  for (index_t l = 0; l < levels; ++l) {
+  for (index_t l = 1; l < levels; ++l) {
     const auto& far = a.mtree.far[static_cast<size_t>(l)];
     if (far.empty()) continue;
     std::vector<ConstMatrixView> blocks, xv;
+    std::vector<la::Op> ops;
     std::vector<MatrixView> yv;
-    for (index_t e = 0; e < a.coupling[static_cast<size_t>(l)].count(); ++e)
-      blocks.push_back(a.coupling[static_cast<size_t>(l)].dev(e));
+    a.coupling_operands(l, blocks, ops);
     for (index_t i = 0; i < t.nodes_at(l); ++i) {
       xv.push_back(xhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
       yv.push_back(yhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
     }
     const StreamId s = (l % 2 == 0) ? kLowRank : kCouplingSpill[(spill++) % 2];
     batched::bsr_gemm(ctx, s, 1.0, {far.row_ptr.begin(), far.row_ptr.end()},
-                      {far.col.begin(), far.col.end()}, std::move(blocks), std::move(xv),
-                      std::move(yv));
+                      {far.col.begin(), far.col.end()}, std::move(blocks), std::move(ops),
+                      std::move(xv), std::move(yv));
   }
   // Downward pass consumes every level's yhat: join the coupling fan-out
   // (the near-field stream keeps running).
@@ -173,7 +187,7 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   for (const StreamId s : kCouplingSpill) ctx.sync(s);
 
   // Downward pass: children accumulate E * yhat_parent.
-  for (index_t l = 0; l < leaf; ++l) {
+  for (index_t l = 1; l < leaf; ++l) {
     for (int side = 0; side < 2; ++side) {
       std::vector<ConstMatrixView> av, bv;
       std::vector<MatrixView> cv;
@@ -223,6 +237,10 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   // back over the marshaling boundary.
   ctx.sync_all();
   dev.download(yd, y);
+}
+
+void H2Matrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, MatrixView y) const {
+  h2_matvec(ctx, *this, x, y);
 }
 
 void h2_matvec(const H2Matrix& a, ConstMatrixView x, MatrixView y) {

@@ -1,6 +1,9 @@
 #include "kernels/kernels.hpp"
 
 #include <cmath>
+#include <string>
+
+#include "common/errors.hpp"
 
 namespace h2sketch::kern {
 
@@ -56,6 +59,14 @@ real_t Laplace3dKernel::evaluate(const real_t* x, const real_t* y, index_t dim) 
   const real_t r = dist(x, y, dim);
   if (r == 0.0) return diagonal_;
   return 1.0 / r;
+}
+
+std::unique_ptr<KernelFunction> kernel_by_name(std::string_view name) {
+  if (name == "exp") return std::make_unique<ExponentialKernel>(0.2);
+  if (name == "helm") return std::make_unique<HelmholtzCosKernel>(3.0);
+  if (name == "matern") return std::make_unique<Matern32Kernel>(0.3);
+  throw InvalidArgumentError("unknown kernel '" + std::string(name) +
+                             "' (expected exp, helm or matern)");
 }
 
 } // namespace h2sketch::kern

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <memory>
+#include <string_view>
+
 #include "kernels/kernel.hpp"
 
 /// \file kernels.hpp
@@ -85,5 +88,10 @@ class Laplace3dKernel final : public KernelFunction {
  private:
   real_t diagonal_;
 };
+
+/// The kernels the command-line tools name: "exp" (exponential, l = 0.2),
+/// "helm" (Helmholtz-cos, k = 3) and "matern" (Matern-3/2, l = 0.3). Throws
+/// InvalidArgumentError for any other name.
+std::unique_ptr<KernelFunction> kernel_by_name(std::string_view name);
 
 } // namespace h2sketch::kern

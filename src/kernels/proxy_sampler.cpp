@@ -21,6 +21,33 @@ namespace h2sketch::kern {
 
 namespace {
 
+/// Admissibility parameter of the *surrogate's* block structure (always the
+/// general condition — proxy surfaces require separated far fields, so even
+/// an HSS outer build sketches a strongly-admissible surrogate). 1.0
+/// balances the uncompressed near field (the dominant sample() cost: at 0.7
+/// a 2D leaf keeps ~28 near neighbors vs ~12 at 1.0, tripling the matvec)
+/// against proxy rank; beyond ~1.4 the closer annuli push the surrogate
+/// error past the tolerance scale and the adaptive loop pays it back in
+/// extra sample rounds.
+constexpr real_t kEta = 1.0;
+
+/// Concentric shells per node between the inner annulus radius and the
+/// enclosing-domain radius. Three shells hold the surrogate error at the
+/// tolerance scale; two halve the setup cost at ~10x the error.
+constexpr index_t kNumShells = 3;
+static_assert(kNumShells >= 2, "the shells span the inner to the outer radius");
+
+/// Inner shell radius = node half-diameter + this fraction of the
+/// admissibility gap diameter/eta; < 1 keeps the first shell strictly
+/// inside the buffer zone no admissible source can enter.
+constexpr real_t kInnerGapFraction = 0.5;
+
+/// Multiplier on the ID truncation threshold, mirroring
+/// ConstructionOptions::id_tol_factor. It leaves headroom below tol so
+/// per-level ID truncation does not accumulate past it. The IDs are not
+/// rank-capped.
+constexpr real_t kIdTolFactor = 0.1;
+
 /// Entry generator over the cluster points *extended by proxy points*:
 /// indices < N address permuted cluster positions (so skeleton/leaf index
 /// sets work unchanged), indices >= N address proxy points appended with
@@ -68,9 +95,10 @@ class ProxyEntryGenerator final : public EntryGenerator {
 };
 
 /// Proxy count per shell for a given tolerance and dimension: H2Pack's
-/// surface-density heuristic (6 q^2 on a sphere with q decimal digits of
-/// tolerance), reduced for lower dimensions.
-index_t auto_points_per_shell(real_t tol, index_t dim) {
+/// surface-density heuristic (3D: 6 q^2 points on a Fibonacci sphere with
+/// q = ceil(-log10 tol) clamped to [4, 10]; 2D: max(8 q, 24) on a circle;
+/// 1D: 2).
+index_t points_per_shell(real_t tol, index_t dim) {
   const real_t digits = -std::log10(std::max(tol, real_t(1e-15)));
   const index_t q = std::clamp<index_t>(static_cast<index_t>(std::ceil(digits)), 4, 10);
   if (dim >= 3) return 6 * q * q;
@@ -144,30 +172,27 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
                                batched::ExecutionContext& ctx) {
   const double t0 = wall_seconds();
   if (opts.tol <= 0) opts.tol = 1e-6;
-  H2S_CHECK(opts.eta > 0, "proxy sampler needs a positive admissibility eta");
-  H2S_CHECK(opts.num_shells >= 1, "proxy sampler needs at least one shell");
 
   const tree::ClusterTree& t = *tree_;
   const index_t dim = t.dim();
   const index_t leaf = t.leaf_level();
 
   surrogate_.tree = tree_;
-  surrogate_.mtree = tree::MatrixTree::build(t, tree::Admissibility::general(opts.eta));
+  surrogate_.mtree = tree::MatrixTree::build(t, tree::Admissibility::general(kEta));
   surrogate_.init_structure();
 
   ProxyEntryGenerator pgen(t, kernel);
   const bool has_far = surrogate_.mtree.has_any_far();
 
   // Proxy geometry for every node that carries a basis (levels leaf..1):
-  // num_shells concentric shells from just inside the admissibility buffer
+  // kNumShells concentric shells from just inside the admissibility buffer
   // (no admissible source can be closer than ~diameter/(2 eta) to the box)
   // out to the radius enclosing the whole domain. Pure geometry, laid out
   // for all levels before the first generate launch: appending a point may
   // reallocate the coordinate table that in-flight launches read.
   std::vector<std::vector<std::vector<index_t>>> proxy_idx(static_cast<size_t>(leaf + 1));
   if (has_far) {
-    const index_t per_shell =
-        opts.points_per_shell > 0 ? opts.points_per_shell : auto_points_per_shell(opts.tol, dim);
+    const index_t per_shell = points_per_shell(opts.tol, dim);
     const geo::BoundingBox& root_box = t.box(0, 0);
     for (index_t l = 1; l <= leaf; ++l) {
       proxy_idx[static_cast<size_t>(l)].resize(static_cast<size_t>(t.nodes_at(l)));
@@ -178,15 +203,13 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
         const real_t diam = b.diameter();
         const real_t scale = 1.0 + std::abs(c[0]) + std::abs(c[1]) + std::abs(c[2]);
         // Guard degenerate boxes (duplicate points) with a tiny radius floor.
-        const real_t r_inner = std::max(0.5 * diam + opts.inner_gap_fraction * diam / opts.eta,
-                                        real_t(1e-8) * scale);
+        const real_t r_inner =
+            std::max(0.5 * diam + kInnerGapFraction * diam / kEta, real_t(1e-8) * scale);
         const real_t r_outer = std::max(root_box.max_corner_distance(c), 1.5 * r_inner);
         auto& idx = proxy_idx[static_cast<size_t>(l)][static_cast<size_t>(i)];
-        idx.reserve(static_cast<size_t>(opts.num_shells * per_shell));
-        for (index_t s = 0; s < opts.num_shells; ++s) {
-          const real_t f = opts.num_shells > 1
-                               ? static_cast<real_t>(s) / static_cast<real_t>(opts.num_shells - 1)
-                               : real_t(0);
+        idx.reserve(static_cast<size_t>(kNumShells * per_shell));
+        for (index_t s = 0; s < kNumShells; ++s) {
+          const real_t f = static_cast<real_t>(s) / static_cast<real_t>(kNumShells - 1);
           const real_t r = r_inner * std::pow(r_outer / r_inner, f);
           add_shell(pgen, c, r, per_shell, dim, s, idx);
         }
@@ -247,7 +270,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
     }
   }
   const real_t norm_anchor = near_sq > 0 ? std::sqrt(near_sq) : real_t(1);
-  const real_t abs_tol = opts.tol * opts.id_tol_factor * norm_anchor;
+  const real_t abs_tol = opts.tol * kIdTolFactor * norm_anchor;
 
   // Bottom-up nested proxy ID (the deterministic mirror of Algorithm 1's
   // skeletonization): leaf panels K(I_tau, P_tau) give U and the skeleton;
@@ -290,7 +313,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
       std::vector<ConstMatrixView> ys;
       ys.reserve(static_cast<size_t>(nodes));
       for (index_t i = 0; i < nodes; ++i) ys.push_back(panels[static_cast<size_t>(i)].view());
-      batched::batched_row_id(ctx, ys, abs_tol, opts.max_rank, ids);
+      batched::batched_row_id(ctx, ys, abs_tol, /*max_rank=*/-1, ids);
     }
 
     for (index_t i = 0; i < nodes; ++i) {
@@ -314,10 +337,11 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
     surrogate_.basis[ul].commit(ctx.device());
   }
 
-  // Exact coupling at the selected skeletons, all levels in one batch.
+  // Exact coupling at the selected skeletons, all levels in one batch: one
+  // block per mirrored pair (r < c); the (c, r) slot stays 0 x 0.
   {
     std::vector<BlockRequest> reqs;
-    reqs.reserve(static_cast<size_t>(surrogate_.mtree.total_far_blocks()));
+    reqs.reserve(static_cast<size_t>(surrogate_.mtree.total_far_blocks() / 2));
     for (index_t l = 0; l < t.num_levels(); ++l) {
       const auto ul = static_cast<size_t>(l);
       const auto& far = surrogate_.mtree.far[ul];
@@ -325,6 +349,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
         for (index_t j = 0; j < far.row_count(r); ++j) {
           const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
           const index_t c = far.col[static_cast<size_t>(e)];
+          if (r > c) continue;
           const auto& rs = surrogate_.skeleton[ul][static_cast<size_t>(r)];
           const auto& cs = surrogate_.skeleton[ul][static_cast<size_t>(c)];
           surrogate_.coupling[ul].set_shape(e, static_cast<index_t>(rs.size()),
@@ -335,6 +360,7 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
         for (index_t j = 0; j < far.row_count(r); ++j) {
           const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
           const index_t c = far.col[static_cast<size_t>(e)];
+          if (r > c) continue;
           reqs.push_back({surrogate_.skeleton[ul][static_cast<size_t>(r)],
                           surrogate_.skeleton[ul][static_cast<size_t>(c)],
                           surrogate_.coupling[ul].dev(e)});

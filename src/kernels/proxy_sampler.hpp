@@ -31,45 +31,14 @@
 
 namespace h2sketch::kern {
 
-/// Geometry/compression knobs for the surrogate build.
+/// Compression knob of the surrogate build. The proxy geometry (the
+/// surrogate's admissibility, shells and points per shell) and its ID
+/// threshold are fixed constants of proxy_sampler.cpp.
 struct ProxySamplerOptions {
   /// Surrogate compression tolerance. <= 0 means "inherit": the kernel-
   /// convenience construction entry points substitute their own tol; a
   /// standalone ProxyMatVecSampler falls back to 1e-6.
   real_t tol = 0.0;
-
-  /// Admissibility parameter of the *surrogate's* block structure (always
-  /// the general condition — proxy surfaces require separated far fields,
-  /// so even an HSS outer build sketches a strongly-admissible surrogate).
-  /// 1.0 balances the uncompressed near field (the dominant sample() cost:
-  /// at 0.7 a 2D leaf keeps ~28 near neighbors vs ~12 at 1.0, tripling the
-  /// matvec) against proxy rank; beyond ~1.4 the closer annuli push the
-  /// surrogate error past the tolerance scale and the adaptive loop pays
-  /// it back in extra sample rounds.
-  real_t eta = 1.0;
-
-  /// Proxy points per shell; 0 derives it from tol and dimension
-  /// (3D: 6 q^2 points on a Fibonacci sphere with q = ceil(-log10 tol)
-  /// clamped to [4, 10]; 2D: max(8 q, 24) on a circle; 1D: 2).
-  index_t points_per_shell = 0;
-
-  /// Concentric shells per node between the inner annulus radius and the
-  /// enclosing-domain radius. Three shells hold the surrogate error at the
-  /// tolerance scale; two halve the setup cost at ~10x the error.
-  index_t num_shells = 3;
-
-  /// Inner shell radius = node half-diameter + this fraction of the
-  /// admissibility gap diameter/eta; < 1 keeps the first shell strictly
-  /// inside the buffer zone no admissible source can enter.
-  real_t inner_gap_fraction = 0.5;
-
-  /// Rank cap per node ID (-1 unbounded).
-  index_t max_rank = -1;
-
-  /// Multiplier on the ID truncation threshold, mirroring
-  /// ConstructionOptions::id_tol_factor. The default leaves headroom below
-  /// tol so per-level ID truncation does not accumulate past it.
-  real_t id_tol_factor = 0.1;
 };
 
 /// Black-box sampler whose sample() costs O(N d) instead of O(N^2 d).

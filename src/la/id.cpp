@@ -34,8 +34,7 @@ ColumnID column_id(ConstMatrixView a, real_t abs_tol, index_t max_rank) {
 RowID row_id(ConstMatrixView a, real_t abs_tol, index_t max_rank) {
   // Row ID of A = column ID of A^T.
   Matrix at(a.cols, a.rows);
-  for (index_t j = 0; j < a.cols; ++j)
-    for (index_t i = 0; i < a.rows; ++i) at(j, i) = a(i, j);
+  copy_transposed(a, at.view());
   ColumnID cid = column_id(at.view(), abs_tol, max_rank);
 
   RowID id;

@@ -13,10 +13,7 @@ Svd jacobi_svd(ConstMatrixView a) {
   // rotations, accumulate V; at the end sigma_j = ||col_j||, U = A V / sigma.
   const bool transposed = a.rows < a.cols;
   Matrix w = transposed ? Matrix(a.cols, a.rows) : to_matrix(a);
-  if (transposed) {
-    for (index_t j = 0; j < a.cols; ++j)
-      for (index_t i = 0; i < a.rows; ++i) w(j, i) = a(i, j);
-  }
+  if (transposed) copy_transposed(a, w.view());
   const index_t m = w.rows(), n = w.cols();
   Matrix v = Matrix::identity(n);
 

@@ -1,9 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <sstream>
 
@@ -15,15 +17,22 @@ std::atomic<bool> detail::g_trace_enabled{false};
 
 namespace {
 
-/// Events per thread ring. Bounded and allocated once per thread on first
-/// record; overflow increments `dropped` rather than reallocating, so a
-/// recording thread never takes a lock or malloc after warm-up.
-constexpr std::size_t kRingCapacity = 1 << 15;
+/// Events per chunk of a thread's buffer. A thread allocates its first
+/// chunk on its first event while tracing is on, and one more chunk each
+/// time the last one fills: one allocation per chunk at rollover, never a
+/// lock or a malloc per event. Chunks are kept across traces.
+constexpr std::size_t kChunkEvents = 1 << 15;
+
+/// Hard cap per thread: kMaxChunks chunks (2^21 events, ~150 MB). Events
+/// past it increment `dropped`.
+constexpr std::size_t kMaxChunks = 64;
 
 struct ThreadBuffer {
-  explicit ThreadBuffer(std::int32_t tid_) : tid(tid_) { slots.resize(kRingCapacity); }
+  explicit ThreadBuffer(std::int32_t tid_) : tid(tid_) {}
   std::int32_t tid;
-  std::vector<TraceEvent> slots;
+  /// Only the owner thread allocates a chunk, before it publishes a count
+  /// that reaches into it, so the collector sees every chunk it reads.
+  std::array<std::unique_ptr<TraceEvent[]>, kMaxChunks> chunks;
   /// Owner thread stores with release after writing the slot; the collector
   /// loads with acquire, so slot contents are published without a lock.
   std::atomic<std::size_t> count{0};
@@ -92,11 +101,13 @@ void record_event(const TraceEvent& ev) {
   if (!trace_enabled()) return;
   ThreadBuffer* buf = acquire_buffer();
   const std::size_t idx = buf->count.load(std::memory_order_relaxed);
-  if (idx >= kRingCapacity) {
+  const std::size_t chunk = idx / kChunkEvents;
+  if (chunk >= kMaxChunks) {
     buf->dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  TraceEvent& slot = buf->slots[idx];
+  if (!buf->chunks[chunk]) buf->chunks[chunk] = std::make_unique<TraceEvent[]>(kChunkEvents);
+  TraceEvent& slot = buf->chunks[chunk][idx % kChunkEvents];
   slot = ev;
   if (slot.tid == kCallerTrack) slot.tid = buf->tid;
   buf->count.store(idx + 1, std::memory_order_release);
@@ -131,7 +142,7 @@ TraceData stop_trace() {
   for (ThreadBuffer* buf : reg.buffers) {
     const std::size_t n = buf->count.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < n; ++i) {
-      const TraceEvent& src = buf->slots[i];
+      const TraceEvent& src = buf->chunks[i / kChunkEvents][i % kChunkEvents];
       TraceData::Event ev;
       ev.cat = src.cat ? src.cat : "";
       ev.name = src.name ? src.name : "";
@@ -215,7 +226,7 @@ std::string TraceData::to_json() const {
     }
     os << "}";
   }
-  os << "\n]}\n";
+  os << "\n],\"otherData\":{\"dropped\":" << dropped << "}}\n";
   return os.str();
 }
 

@@ -9,8 +9,9 @@
 /// Low-overhead cross-layer tracing with Chrome trace-event export.
 ///
 /// `TraceSpan` is an RAII scope that records a timed event into a
-/// thread-local lock-free ring buffer. When tracing is disabled (the
-/// default) every entry point is a single relaxed atomic load and no
+/// thread-local lock-free buffer that grows in fixed chunks up to a hard
+/// cap (events past it are counted as dropped). When tracing is disabled
+/// (the default) every entry point is a single relaxed atomic load and no
 /// allocation ever happens — the hot paths (run_batch, backend copies,
 /// coalescer ticks) pay one predictable branch.
 ///
@@ -60,7 +61,7 @@ inline constexpr std::int32_t kCallerTrack = -1;
 std::int64_t trace_now_ns();
 
 /// One recorded event. `cat`/`name`/arg keys must be string literals (or
-/// otherwise outlive the trace) — the ring stores pointers, not copies.
+/// otherwise outlive the trace) — the buffer stores pointers, not copies.
 struct TraceEvent {
   const char* cat = nullptr;
   const char* name = nullptr;
@@ -71,7 +72,7 @@ struct TraceEvent {
   std::uint64_t arg_val[2] = {0, 0};
 };
 
-/// Append `ev` to the calling thread's ring buffer (drops when full).
+/// Append `ev` to the calling thread's buffer (drops past the cap).
 /// No-op when tracing is disabled.
 void record_event(const TraceEvent& ev);
 
@@ -136,7 +137,7 @@ class ScopedLaunchLabel {
   const char* prev_;
 };
 
-/// Collected trace, detached from the ring buffers (strings copied).
+/// Collected trace, detached from the thread buffers (strings copied).
 struct TraceData {
   struct Event {
     std::string cat;
@@ -150,21 +151,22 @@ struct TraceData {
   std::uint64_t dropped = 0;
 
   /// Serialize as Chrome trace-event JSON ({"traceEvents": [...]}) with
-  /// thread_name metadata naming the per-thread and per-stream tracks.
+  /// thread_name metadata naming the per-thread and per-stream tracks, and
+  /// the dropped-event count as "otherData": {"dropped": N}.
   std::string to_json() const;
   void write_json(const std::string& path) const;
 };
 
-/// Begin collecting (resets all ring buffers). Idempotent while running.
+/// Begin collecting (resets all thread buffers). Idempotent while running.
 void start_trace();
 
 /// Stop collecting and return everything recorded. See the quiescence
 /// contract above.
 TraceData stop_trace();
 
-/// Ring-buffer accounting, for the zero-overhead-when-disabled pin test.
+/// Buffer accounting, for the zero-overhead-when-disabled pin test.
 struct TraceStats {
-  std::size_t buffers = 0; ///< thread-local rings ever allocated
+  std::size_t buffers = 0; ///< thread-local buffers ever allocated
   std::size_t events = 0;  ///< events currently held
   std::uint64_t dropped = 0;
 };

@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "common/matrix.hpp"
 #include "common/timer.hpp"
+#include "h2/h2_matvec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -152,7 +153,7 @@ void Coalescer::launch_batch(Batch& batch, ContextMap& ctxs, ConstMatrixView b, 
     ctx = std::make_unique<batched::ExecutionContext>(backend::shared_backend(backend_name));
   ServedOperator& op = *batch.reqs.front().op;
   if (batch.kind == RequestKind::Matvec)
-    op.matrix.matvec(*ctx, b, y);
+    h2::h2_matvec(*ctx, op.matrix, b, y);
   else
     op.factor.solve_many(b, y, *ctx);
 }

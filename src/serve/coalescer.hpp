@@ -20,7 +20,7 @@
 /// \file coalescer.hpp
 /// The serve-many half of the serving story: a bounded submission queue
 /// that coalesces concurrent single-RHS matvec/solve requests against a
-/// cached operator into one blocked launch (`HssMatrix::matvec` /
+/// cached operator into one blocked launch (`h2_matvec` /
 /// `UlvCholesky::solve_many`) per tick. Requests are grouped by
 /// (operator, kind); a group flushes when it reaches `max_batch` RHS
 /// (flush-on-full) or when its oldest request has waited `max_delay`

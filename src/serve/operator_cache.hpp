@@ -17,7 +17,7 @@
 #include "kernels/kernel.hpp"
 #include "serve/clock.hpp"
 #include "serve/telemetry.hpp"
-#include "solver/hss_matrix.hpp"
+#include "h2/h2_matrix.hpp"
 #include "solver/ulv.hpp"
 
 /// \file operator_cache.hpp
@@ -55,12 +55,13 @@ struct OperatorKeyHash {
 /// same permuted operator.
 std::uint64_t geometry_fingerprint(const geo::PointCloud& points, index_t leaf_size);
 
-/// One cached, factored, read-only operator: the compressed HSS matrix (for
-/// matvec requests), its ULV Cholesky factor (for solve requests), and the
-/// per-operator serving counters every handle shares.
+/// One cached, factored, read-only operator: the compressed HSS matrix (the
+/// weak-admissibility H2Matrix, for matvec requests), its ULV Cholesky
+/// factor (for solve requests), and the per-operator serving counters every
+/// handle shares.
 struct ServedOperator {
   std::shared_ptr<const tree::ClusterTree> tree;
-  solver::HssMatrix matrix;
+  h2::H2Matrix matrix;
   solver::UlvCholesky factor;
   std::string backend;    ///< backend config name the panels were built on
   std::size_t bytes = 0;  ///< device-resident matrix + factor arena bytes (the LRU budget unit)

@@ -31,9 +31,7 @@ void merge_siblings(ConstMatrixView s1, ConstMatrixView u1, index_t r1, ConstMat
     la::gemm(1.0, u1, la::Op::None, b, la::Op::None, 0.0, rb.view());
     MatrixView off = dst.block(0, r1, r1, r2);
     la::gemm(1.0, rb.view(), la::Op::None, u2, la::Op::Trans, 0.0, off);
-    MatrixView off_t = dst.block(r1, 0, r2, r1);
-    for (index_t jj = 0; jj < r2; ++jj)
-      for (index_t ii = 0; ii < r1; ++ii) off_t(jj, ii) = off(ii, jj);
+    copy_transposed(off, dst.block(r1, 0, r2, r1));
   }
 }
 
@@ -42,7 +40,7 @@ void merge_siblings(ConstMatrixView s1, ConstMatrixView u1, index_t r1, ConstMat
 /// slots of the factor's per-level device arenas (layout
 /// [qr x nodes][dhat x nodes][utilde x nodes]); the body runs inside a
 /// batched launch, so it may touch device views directly.
-void assemble_and_rotate(const HssMatrix& a, const std::vector<std::vector<UlvNode>>& nodes,
+void assemble_and_rotate(const h2::H2Matrix& a, const std::vector<std::vector<UlvNode>>& nodes,
                          std::vector<backend::BlockArena>& panels, index_t level, index_t i,
                          real_t ridge, UlvNode& nd) {
   const index_t leaf = a.leaf_level();
@@ -58,7 +56,7 @@ void assemble_and_rotate(const HssMatrix& a, const std::vector<std::vector<UlvNo
   // the leaf diagonals: bumping every leaf block by ridge*I is exactly
   // A + ridge*I, and the Schur complements propagate it upward.
   if (level == leaf) {
-    copy(a.leaf_diag.dev(i), dhat);
+    copy(a.dense.dev(i), dhat);
     if (ridge != real_t{0})
       for (index_t k = 0; k < n; ++k) dhat(k, k) += ridge;
   } else {
@@ -68,19 +66,19 @@ void assemble_and_rotate(const HssMatrix& a, const std::vector<std::vector<UlvNo
     const UlvNode& c2 = nodes[ul + 1][static_cast<size_t>(2 * i + 1)];
     merge_siblings(cp.dev(cn + 2 * i).block(0, 0, c1.rank, c1.rank), cp.dev(2 * cn + 2 * i),
                    c1.rank, cp.dev(cn + 2 * i + 1).block(0, 0, c2.rank, c2.rank),
-                   cp.dev(2 * cn + 2 * i + 1), c2.rank, a.coupling[ul + 1].dev(i), dhat);
+                   cp.dev(2 * cn + 2 * i + 1), c2.rank, a.coupling[ul + 1].dev(2 * i), dhat);
   }
 
   // Merged generator: U at the leaf, [R_1 E_1; R_2 E_2] above. The root
   // (level 0) never reaches this function.
   if (level == leaf) {
-    copy(a.generators[ul].dev(i), qr);
+    copy(a.basis[ul].dev(i), qr);
   } else {
     const index_t cn = a.tree->nodes_at(level + 1);
     const backend::BlockArena& cp = panels[ul + 1];
     const auto& c1 = nodes[ul + 1][static_cast<size_t>(2 * i)];
     const auto& c2 = nodes[ul + 1][static_cast<size_t>(2 * i + 1)];
-    ConstMatrixView e = a.generators[ul].dev(i);
+    ConstMatrixView e = a.basis[ul].dev(i);
     if (c1.rank > 0 && r > 0)
       la::gemm(1.0, cp.dev(2 * cn + 2 * i), la::Op::None, e.row_range(0, c1.rank), la::Op::None,
                0.0, qr.row_range(0, c1.rank));
@@ -103,22 +101,42 @@ void assemble_and_rotate(const HssMatrix& a, const std::vector<std::vector<UlvNo
 /// Largest |diagonal entry| of A, read off the device-resident leaf
 /// diagonal arena in place (inside a kernel scope, so no mirror downloads):
 /// the scale the ridge-retry ladder is relative to.
-real_t max_abs_diag(const HssMatrix& a, backend::DeviceBackend& dev) {
+real_t max_abs_diag(const h2::H2Matrix& a, backend::DeviceBackend& dev) {
   real_t scale = 0.0;
   backend::KernelScope ks(&dev);
-  for (index_t i = 0; i < a.leaf_diag.count(); ++i) {
-    ConstMatrixView v = a.leaf_diag.dev(i);
+  for (index_t i = 0; i < a.dense.count(); ++i) {
+    ConstMatrixView v = a.dense.dev(i);
     const index_t n = std::min(v.rows, v.cols);
     for (index_t k = 0; k < n; ++k) scale = std::max(scale, std::abs(v(k, k)));
   }
   return scale;
 }
 
+/// The HSS pattern of a weak-admissibility build: the leaf diagonals are
+/// the only near blocks, and every node below the root couples to its
+/// sibling alone (so far entry i of a level is row i's pair (i, i ^ 1)).
+void check_weak_pattern(const h2::H2Matrix& a) {
+  const tree::ClusterTree& t = *a.tree;
+  const tree::LevelBlockList& near = a.mtree.near_leaf;
+  for (index_t i = 0; i < t.nodes_at(t.leaf_level()); ++i)
+    H2S_CHECK(near.row_count(i) == 1 && near.col_at(i, 0) == i,
+              "ulv_factor: needs the weak-admissibility (HSS) pattern; near row " << i);
+  for (index_t l = 0; l < t.num_levels(); ++l) {
+    const auto& far = a.mtree.far[static_cast<size_t>(l)];
+    for (index_t i = 0; i < t.nodes_at(l); ++i)
+      H2S_CHECK(l == 0 ? far.row_count(i) == 0
+                       : far.row_count(i) == 1 && far.col_at(i, 0) == (i ^ 1),
+                "ulv_factor: needs the weak-admissibility (HSS) pattern; level "
+                    << l << " far row " << i);
+  }
+}
+
 } // namespace
 
-UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
+UlvCholesky ulv_factor(const h2::H2Matrix& a, batched::ExecutionContext& ctx,
                        const UlvOptions& opts) {
   a.validate();
+  check_weak_pattern(a);
   if (auto own = a.storage_backend())
     H2S_CHECK(own->memory_owner() == ctx.device().memory_owner(),
               "ulv_factor: context device does not own this matrix's device arenas (built on "
@@ -141,7 +159,7 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
   if (levels == 1) {
     // Degenerate single-node tree: the HSS matrix is one dense block,
     // factored host-side off the arena's lazy mirror.
-    f.root_factor_ = a.leaf_diag.host(0);
+    f.root_factor_ = a.dense.host(0);
     if (ridge != real_t{0}) {
       MatrixView rv = f.root_factor_.view();
       for (index_t k = 0; k < rv.rows; ++k) rv(k, k) += ridge;
@@ -288,11 +306,11 @@ UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
   }
 }
 
-UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx) {
+UlvCholesky ulv_factor(const h2::H2Matrix& a, batched::ExecutionContext& ctx) {
   return ulv_factor(a, ctx, UlvOptions{});
 }
 
-UlvCholesky ulv_factor(const HssMatrix& a) {
+UlvCholesky ulv_factor(const h2::H2Matrix& a) {
   batched::ExecutionContext ctx(a.execution_config());
   return ulv_factor(a, ctx);
 }
@@ -340,7 +358,7 @@ void UlvCholesky::solve_many(ConstMatrixView b, MatrixView x,
 
   // One workspace reservation per solve: the marshaled B/X panels, every
   // node's local right-hand-side/solution panel, and the root block
-  // (prefix-sum single-allocation pattern, like HssMatrix::matvec).
+  // (prefix-sum single-allocation pattern, like h2_matvec).
   // Everything the sweeps touch is device-resident; the host boundary is
   // crossed exactly twice — the b upload and the x download.
   backend::DeviceBackend& dev = ctx.device();

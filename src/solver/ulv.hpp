@@ -5,12 +5,16 @@
 
 #include "backend/block_arena.hpp"
 #include "batched/device.hpp"
-#include "solver/hss_matrix.hpp"
+#include "h2/h2_matrix.hpp"
 
 /// \file ulv.hpp
-/// ULV Cholesky factorization of a symmetric positive definite HssMatrix and
-/// the forward/backward solve sweeps (the missing piece the compressed
-/// frontal matrices of Fig. 6(b) feed into).
+/// ULV Cholesky factorization of a symmetric positive definite HSS matrix —
+/// the H2Matrix of a weak-admissibility build (solver/hss_construction.hpp)
+/// — and the forward/backward solve sweeps (the missing piece the
+/// compressed frontal matrices of Fig. 6(b) feed into). The factorization
+/// reads the matrix in place: the generators are `basis[l]`, the coupling
+/// of sibling pair (2p, 2p+1) is far entry 2p of `coupling[l]`, and the leaf
+/// diagonals are `dense`. Any other block pattern is rejected.
 ///
 /// Per node, bottom-up (compress - eliminate - merge):
 ///   1. QR the node's (merged) generator G = Q [R; 0]: after rotating the
@@ -71,7 +75,7 @@ struct UlvNode {
 
 /// The factored form: per-level node panels plus the dense root factor.
 /// Self-contained (shares tree ownership), movable, independent of the
-/// HssMatrix it was factored from.
+/// matrix it was factored from.
 class UlvCholesky {
  public:
   /// Solve A x = b for one right-hand side; b and x are length-N vectors in
@@ -117,7 +121,7 @@ class UlvCholesky {
   }
 
  private:
-  friend UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
+  friend UlvCholesky ulv_factor(const h2::H2Matrix& a, batched::ExecutionContext& ctx,
                                 const UlvOptions& opts);
 
   std::shared_ptr<const tree::ClusterTree> tree_;
@@ -136,16 +140,18 @@ class UlvCholesky {
   real_t ridge_ = 0.0; ///< diagonal bump the successful attempt used
 };
 
-/// ULV-factor an SPD HssMatrix, retrying failed pivots with an escalating
+/// ULV-factor an SPD HSS matrix, retrying failed pivots with an escalating
 /// ridge per `opts` (see UlvOptions). Throws `NumericalError` when the
-/// compressed matrix is not numerically SPD even after the last ridge.
-UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx,
+/// compressed matrix is not numerically SPD even after the last ridge, and
+/// std::runtime_error when `a` does not have the weak-admissibility (HSS)
+/// block pattern.
+UlvCholesky ulv_factor(const h2::H2Matrix& a, batched::ExecutionContext& ctx,
                        const UlvOptions& opts);
 
 /// Same under default recovery options.
-UlvCholesky ulv_factor(const HssMatrix& a, batched::ExecutionContext& ctx);
+UlvCholesky ulv_factor(const h2::H2Matrix& a, batched::ExecutionContext& ctx);
 
 /// Convenience overload with an internal Batched context.
-UlvCholesky ulv_factor(const HssMatrix& a);
+UlvCholesky ulv_factor(const h2::H2Matrix& a);
 
 } // namespace h2sketch::solver

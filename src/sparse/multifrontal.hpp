@@ -43,7 +43,7 @@ struct MultifrontalOptions {
 /// The compressed-root state: the HSS form, its ULV factorization, and the
 /// separator-geometry permutation tying them to root_vars order.
 struct RootCompression {
-  solver::HssMatrix hss;
+  h2::H2Matrix hss;
   solver::UlvCholesky ulv;
   /// permuted position -> index into root_vars (the cluster tree's perm).
   std::vector<index_t> perm;

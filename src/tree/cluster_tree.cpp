@@ -1,8 +1,18 @@
 #include "tree/cluster_tree.hpp"
 
+#include <cmath>
+#include <string>
+
+#include "common/errors.hpp"
+
 namespace h2sketch::tree {
 
 ClusterTree ClusterTree::build(PointCloud points, index_t leaf_size) {
+  for (index_t i = 0; i < points.size(); ++i)
+    for (index_t d = 0; d < points.dim(); ++d)
+      if (!std::isfinite(points.coord(i, d)))
+        throw InvalidArgumentError("ClusterTree::build: coordinate " + std::to_string(d) +
+                                   " of point " + std::to_string(i) + " is not finite");
   ClusterTree t;
   t.clustering_ = geo::build_kd_clustering(points, leaf_size);
   t.points_ = std::move(points);

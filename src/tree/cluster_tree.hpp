@@ -19,7 +19,8 @@ using geo::PointCloud;
 
 class ClusterTree {
  public:
-  /// Build from a point cloud via median-split KD clustering.
+  /// Build from a point cloud via median-split KD clustering. Throws
+  /// InvalidArgumentError if a coordinate is not finite.
   static ClusterTree build(PointCloud points, index_t leaf_size);
 
   /// Reassemble from previously built parts (deserialization): the

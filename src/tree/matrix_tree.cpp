@@ -49,6 +49,13 @@ index_t LevelBlockList::max_row_count() const {
   return mx;
 }
 
+index_t LevelBlockList::find(index_t r, index_t c) const {
+  const auto begin = col.begin() + row_ptr[static_cast<size_t>(r)];
+  const auto end = col.begin() + row_ptr[static_cast<size_t>(r + 1)];
+  const auto it = std::lower_bound(begin, end, c);
+  return it != end && *it == c ? static_cast<index_t>(it - col.begin()) : -1;
+}
+
 MatrixTree MatrixTree::build(const ClusterTree& tree, const Admissibility& adm) {
   MatrixTree mt;
   mt.num_levels = tree.num_levels();

@@ -31,6 +31,8 @@ struct LevelBlockList {
   index_t col_at(index_t r, index_t j) const {
     return col[static_cast<size_t>(row_ptr[static_cast<size_t>(r)] + j)];
   }
+  /// Entry index of the pair (r, c), or -1 if the list does not hold it.
+  index_t find(index_t r, index_t c) const;
   bool empty() const { return col.empty(); }
 };
 

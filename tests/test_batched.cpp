@@ -12,6 +12,7 @@
 #include "batched/batched_rand.hpp"
 #include "batched/batched_solve.hpp"
 #include "batched/bsr_gemm.hpp"
+#include "la/gemm_engine.hpp"
 #include "common/random.hpp"
 #include "kernels/entry_gen.hpp"
 #include "test_common.hpp"
@@ -263,6 +264,7 @@ struct BsrFixture {
   std::vector<Matrix> block_store, x_store, y_store, y_ref;
   std::vector<backend::DeviceMatrix> dblocks, dx, dy;
   std::vector<ConstMatrixView> blocks, xv;
+  std::vector<la::Op> ops;
   std::vector<MatrixView> yv;
 
   BsrFixture(backend::DeviceBackend& dev, index_t rows, index_t cols, index_t bm, index_t bn,
@@ -276,6 +278,7 @@ struct BsrFixture {
     }
     for (size_t e = 0; e < col.size(); ++e)
       block_store.push_back(random_matrix(bm, bn, seed + 100 + e));
+    ops.assign(col.size(), la::Op::None);
     for (index_t c = 0; c < cols; ++c) x_store.push_back(random_matrix(bn, ncols, seed + 500 + c));
     for (index_t r = 0; r < rows; ++r) {
       y_store.push_back(random_matrix(bm, ncols, seed + 900 + r));
@@ -316,7 +319,7 @@ TEST_P(RegistryBackendTest, BsrGemmMatchesDenseReferenceBitwise) {
   BsrFixture f(dev(), 6, 5, 4, 3, 2, 0.5, 42);
   f.reference(-1.0);
   ASSERT_GT(f.max_blocks_per_row(), 1);
-  bsr_gemm(ctx_, -1.0, f.row_ptr, f.col, f.blocks, f.xv, f.yv);
+  bsr_gemm(ctx_, -1.0, f.row_ptr, f.col, f.blocks, f.ops, f.xv, f.yv);
   for (size_t r = 0; r < f.dy.size(); ++r)
     EXPECT_EQ(max_abs_diff(f.dy[r].to_host().view(), f.y_ref[r].view()), 0.0);
   // One launch per product, whatever the blocks per row; the naive mode
@@ -358,7 +361,8 @@ TEST_P(RegistryBackendTest, BsrGemmHandlesRaggedRowsAndHeterogeneousBlocks) {
     dys[static_cast<size_t>(r)].resize(dev(), row_m[static_cast<size_t>(r)], 2);
     yv.push_back(dys[static_cast<size_t>(r)].view());
   }
-  bsr_gemm(ctx_, 1.0, row_ptr, col, bv, xv, yv);
+  const std::vector<la::Op> ops(bv.size(), la::Op::None);
+  bsr_gemm(ctx_, 1.0, row_ptr, col, bv, ops, xv, yv);
   la::gemm(1.0, bl[0].view(), la::Op::None, xs[2].view(), la::Op::None, 1.0, yr[1].view());
   la::gemm(1.0, bl[1].view(), la::Op::None, xs[0].view(), la::Op::None, 1.0, yr[2].view());
   la::gemm(1.0, bl[2].view(), la::Op::None, xs[1].view(), la::Op::None, 1.0, yr[2].view());
@@ -373,8 +377,53 @@ TEST_P(RegistryBackendTest, BsrGemmEmptyPatternIsNoop) {
   std::vector<index_t> row_ptr = {0, 0, 0};
   Matrix y0(3, 2), y1(3, 2);
   std::vector<MatrixView> yv = {y0.view(), y1.view()};
-  bsr_gemm(ctx_, 1.0, row_ptr, {}, {}, {}, yv);
+  bsr_gemm(ctx_, 1.0, row_ptr, {}, {}, {}, {}, yv);
   EXPECT_EQ(ctx_.kernel_launches(), 0);
+}
+
+TEST_P(RegistryBackendTest, BsrGemmReadsTransposedBlocks) {
+  // How a symmetric operator reads its mirrored coupling: every other block
+  // is stored as its bn x bm transpose and passed with Op::Trans. Checked
+  // against the naive triple loops, entry by entry in CSR order.
+  const index_t bm = 5, bn = 3, ncols = 4;
+  const std::vector<index_t> row_ptr = {0, 2, 2, 5, 6};
+  const std::vector<index_t> col = {0, 2, 0, 1, 2, 1};
+  std::vector<Matrix> bl, xs, yr;
+  std::vector<la::Op> ops;
+  for (size_t e = 0; e < col.size(); ++e) {
+    ops.push_back(e % 2 == 0 ? la::Op::None : la::Op::Trans);
+    bl.push_back(ops.back() == la::Op::None ? random_matrix(bm, bn, 60 + e)
+                                            : random_matrix(bn, bm, 60 + e));
+  }
+  for (index_t c = 0; c < 3; ++c) xs.push_back(random_matrix(bn, ncols, 70 + c));
+  std::vector<DeviceOperand> dbl, dxs;
+  std::vector<backend::DeviceMatrix> dys(4);
+  std::vector<ConstMatrixView> bv, xv;
+  std::vector<MatrixView> yv;
+  for (auto& b : bl) {
+    dbl.emplace_back(dev(), b.view());
+    bv.push_back(dbl.back().dm.view());
+  }
+  for (auto& x : xs) {
+    dxs.emplace_back(dev(), x.view());
+    xv.push_back(dxs.back().dm.view());
+  }
+  for (index_t r = 0; r < 4; ++r) {
+    yr.push_back(random_matrix(bm, ncols, 80 + r));
+    dys[static_cast<size_t>(r)].resize(dev(), bm, ncols);
+    dys[static_cast<size_t>(r)].upload_from(yr.back().view());
+    yv.push_back(dys[static_cast<size_t>(r)].view());
+  }
+  bsr_gemm(ctx_, -0.5, row_ptr, col, bv, ops, xv, yv);
+  for (size_t r = 0; r < 4; ++r) {
+    for (index_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      const auto ue = static_cast<size_t>(e);
+      la::gemm_naive(-0.5, bl[ue].view(), ops[ue], xs[static_cast<size_t>(col[ue])].view(),
+                     la::Op::None, 1.0, yr[r].view());
+    }
+    EXPECT_LT(max_abs_diff(dys[r].to_host().view(), yr[r].view()), 1e-13) << "row " << r;
+  }
+  EXPECT_EQ(ctx_.kernel_launches(), pinned(GetParam(), 4, 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegisteredBackends, RegistryBackendTest,

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
+#include "common/errors.hpp"
 #include "test_common.hpp"
 
 namespace h2sketch::tree {
@@ -126,6 +128,20 @@ TEST(ClusterTree, CoordPermutedConsistent) {
   for (index_t p = 0; p < 100; ++p)
     for (index_t d = 0; d < 2; ++d)
       EXPECT_EQ(t.coord_permuted(p, d), t.points().coord(t.original_index(p), d));
+}
+
+TEST(ClusterTree, RejectsNonFiniteCoordinates) {
+  // One NaN used to surface later as "norm estimate must be positive".
+  for (const real_t bad : {std::nan(""), HUGE_VAL}) {
+    geo::PointCloud pc = geo::uniform_random_cube(64, 3, 12);
+    pc.coord(17, 1) = bad;
+    try {
+      (void)ClusterTree::build(std::move(pc), 8);
+      FAIL() << "coordinate " << bad << " accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_FALSE(e.retryable());
+    }
+  }
 }
 
 } // namespace

@@ -20,9 +20,9 @@
 /// compressed operator is read-only after construction, so N threads
 /// applying the *same* operator through *distinct* ExecutionContexts must
 /// race-check clean and produce results bitwise equal to a serial
-/// application. Covers h2_matvec, HssMatrix::matvec, UlvCholesky::solve /
-/// solve_many, and the H2Sampler whose embedded context is internally
-/// serialized.
+/// application. Covers h2_matvec on an H2 and an HSS operator,
+/// UlvCholesky::solve / solve_many, and the H2Sampler whose embedded context
+/// is internally serialized.
 
 namespace h2sketch {
 namespace {
@@ -37,7 +37,7 @@ struct SharedOperators {
   kern::ExponentialKernel base{0.3};
   kern::RidgeKernel k{base, 1.0};
   h2::H2Matrix h2m;
-  solver::HssMatrix hss;
+  h2::H2Matrix hss;
   solver::UlvCholesky ulv;
 
   SharedOperators() {
@@ -111,7 +111,7 @@ TEST(ConcurrentApply, HssMatvecBitwiseEqualAcrossEightThreads) {
   std::vector<Matrix> inputs;
   for (int t = 0; t < kThreads; ++t) inputs.push_back(random_matrix(n, 2, 200 + t));
   expect_concurrent_matches_serial(n, 2, [&](batched::ExecutionContext& ctx, int t, Matrix& y) {
-    ops.hss.matvec(ctx, inputs[static_cast<size_t>(t)].view(), y.view());
+    h2::h2_matvec(ctx, ops.hss, inputs[static_cast<size_t>(t)].view(), y.view());
   });
 }
 

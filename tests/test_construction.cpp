@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/errors.hpp"
 #include "common/random.hpp"
 #include "core/error_est.hpp"
 #include "h2/cheb_construction.hpp"
@@ -142,6 +143,25 @@ TEST(SketchConstruction, BackendsProduceIdenticalMatrices) {
   EXPECT_EQ(max_abs_diff(db.view(), dn.view()), 0.0);
   // The batched backend needs far fewer kernel launches.
   EXPECT_LT(rb.stats.kernel_launches * 5, rn.stats.kernel_launches);
+}
+
+TEST(SketchConstruction, RejectsToleranceThatIsNotFiniteAndPositive) {
+  // tol = 0 or below used to build a rank-N/2 operator from N/2 samples.
+  auto tr = test_util::build_cube_tree(256, 2, 33, 16);
+  kern::ExponentialKernel k(0.2);
+  kern::KernelMatVecSampler sampler(*tr, k);
+  kern::KernelEntryGenerator gen(*tr, k);
+  for (const real_t tol : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    ConstructionOptions opts;
+    opts.tol = tol;
+    try {
+      (void)construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts);
+      FAIL() << "tol " << tol << " accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_FALSE(e.retryable());
+    }
+  }
+  EXPECT_EQ(sampler.samples_taken(), 0);
 }
 
 TEST(SketchConstruction, FixedSampleModeMatchesPaperVariant) {

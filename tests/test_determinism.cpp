@@ -197,7 +197,7 @@ UlvOutput build_ulv_with_threads(int threads, UlvInput input) {
   solver::UlvCholesky f = solver::ulv_factor(res.matrix, ctx);
 
   UlvOutput out;
-  out.dense = res.matrix.densify();
+  out.dense = h2::densify(res.matrix);
   out.root = to_matrix(f.root_factor().view());
   for (index_t i = 0; i < 2; ++i) out.level1.emplace_back(f.node(1, i).n_loc, f.node(1, i).rank);
   Matrix b1(n, 1), bn(n, 3);

@@ -19,6 +19,8 @@
 #include "batched/device.hpp"
 #include "common/errors.hpp"
 #include "common/matrix.hpp"
+#include "h2/cheb_construction.hpp"
+#include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/entry_gen.hpp"
 #include "kernels/kernels.hpp"
@@ -27,6 +29,10 @@
 #include "solver/hss_construction.hpp"
 #include "solver/ulv.hpp"
 #include "test_common.hpp"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 /// \file test_faults.cpp
 /// Fault tolerance: the FaultInjectingDevice decorator (schedules, sites,
@@ -209,7 +215,8 @@ TEST(FaultInjector, EveryPrimitiveVisitsExactlyOneLaunchPoint) {
        [&] { return flat({&gather_out}); }},
       {"bsr_gemm",
        [&] {
-         batched::bsr_gemm(ctx, s0, 1.0, {0, 1}, {0}, {a.view()}, {b.view()}, {bsr_out.view()});
+         batched::bsr_gemm(ctx, s0, 1.0, {0, 1}, {0}, {a.view()}, {la::Op::None}, {b.view()},
+                           {bsr_out.view()});
          ctx.sync(s0);
        },
        [&] { return flat({&bsr_out}); }},
@@ -373,6 +380,44 @@ TEST(UlvRecovery, SpdMatrixFactorsWithZeroRidge) {
   // The recovery machinery must be invisible on the healthy path: no ridge,
   // bitwise-identical factor to the pre-recovery behavior.
   EXPECT_EQ(f.ridge_applied(), 0.0);
+}
+
+// --- apply unwinding ------------------------------------------------------
+
+TEST(ApplyRecovery, FaultAfterTheNearFieldLaunchLeavesNoWriterBehind) {
+  // On a 4-wide pool h2_matvec's first launch, the near-field product, runs
+  // asynchronously while the low-rank chain is issued. A launch fault at the
+  // next launch unwinds the call; the queued near-field launch must not
+  // still be writing the context's workspace when the next apply on the
+  // same context zeroes and reuses it.
+#if defined(_OPENMP)
+  const int prev = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  auto tr = test_util::build_cube_tree(4096, 3, 19, 32);
+  const kern::ExponentialKernel kernel(0.2);
+  const h2::H2Matrix a = h2::build_cheb_h2(tr, tree::Admissibility::general(0.7), kernel, 3);
+  // The injector over the heap the matrix was committed to (the process
+  // default device).
+  const std::string faulty = "faulty-" + std::string(a.storage_backend()->memory_owner()->name());
+  auto inj = backend::fault_injector(faulty);
+  inj->set_schedule(FaultSchedule::off());
+  batched::ExecutionContext ctx(backend::shared_backend(faulty));
+  const index_t n = a.size();
+  const Matrix x = test_util::random_matrix(n, 16, 37);
+  Matrix y_ref(n, 16);
+  h2::h2_matvec(ctx, a, x.view(), y_ref.view());
+  for (int rep = 0; rep < 20; ++rep) {
+    Matrix y(n, 16);
+    inj->set_schedule(FaultSchedule::one_shot_at(1, FaultSite::Launch));
+    EXPECT_THROW(h2::h2_matvec(ctx, a, x.view(), y.view()), LaunchError);
+    inj->set_schedule(FaultSchedule::off());
+    h2::h2_matvec(ctx, a, x.view(), y.view());
+    ASSERT_EQ(max_abs_diff(y.view(), y_ref.view()), 0.0) << "repetition " << rep;
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(prev);
+#endif
 }
 
 // --- serving degrade path ------------------------------------------------

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/random.hpp"
+#include "core/construction.hpp"
 #include "h2/cheb_construction.hpp"
 #include "h2/h2_dense.hpp"
 #include "h2/h2_entry_eval.hpp"
@@ -220,6 +221,72 @@ TEST(H2Matrix, SingleLevelDenseOnlyMatrixWorks) {
   h2_matvec(a, x.view(), y.view());
   la::gemm(1.0, kd.view(), la::Op::None, x.view(), la::Op::None, 0.0, ref.view());
   EXPECT_LT(max_abs_diff(y.view(), ref.view()), 1e-12);
+}
+
+/// Bitwise transpose check: a == b^T in every entry.
+bool is_exact_transpose(ConstMatrixView a, ConstMatrixView b) {
+  if (a.rows != b.cols || a.cols != b.rows) return false;
+  for (index_t j = 0; j < a.cols; ++j)
+    for (index_t i = 0; i < a.rows; ++i)
+      if (a(i, j) != b(j, i)) return false;
+  return true;
+}
+
+TEST(H2Matrix, MirroredFarPairsAreStoredOnce) {
+  // Strong and weak builds alike: the (r, c) entry with r > c keeps its CSR
+  // slot with no payload, and every reader sees exactly B_{c,r}^T there.
+  auto tr = test_util::build_cube_tree(512, 2, 31, 32);
+  kern::ExponentialKernel k(0.3);
+  const Matrix kd = dense_kernel_matrix(*tr, k);
+  core::ConstructionOptions opts;
+  opts.tol = 1e-8;
+  opts.sample_block = 16;
+  opts.initial_samples = 32;
+  for (const auto& adm : {tree::Admissibility::general(0.7), tree::Admissibility::weak()}) {
+    kern::DenseMatrixSampler sampler(kd.view());
+    kern::KernelEntryGenerator kgen(*tr, k);
+    const auto res = core::construct_h2(tr, adm, sampler, kgen, opts);
+    const H2Matrix& a = res.matrix;
+    const Matrix ad = densify(a);
+    const H2EntryGenerator gen(a);
+    index_t mirrored = 0;
+    for (index_t l = 0; l < tr->num_levels(); ++l) {
+      const auto& far = a.mtree.far[static_cast<size_t>(l)];
+      const auto& arena = a.coupling[static_cast<size_t>(l)];
+      for (index_t r = 0; r < tr->nodes_at(l); ++r)
+        for (index_t j = 0; j < far.row_count(r); ++j) {
+          const index_t c = far.col_at(r, j);
+          const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
+          if (r < c) {
+            EXPECT_EQ(arena.rows(e), a.rank(l, r));
+            EXPECT_EQ(arena.cols(e), a.rank(l, c));
+            continue;
+          }
+          ++mirrored;
+          EXPECT_EQ(arena.rows(e), 0) << "level " << l << " entry " << e;
+          EXPECT_EQ(arena.cols(e), 0) << "level " << l << " entry " << e;
+          const auto rows = node_positions(*tr, l, r), cols = node_positions(*tr, l, c);
+          const index_t rb = tr->begin(l, r), cb = tr->begin(l, c);
+          EXPECT_TRUE(is_exact_transpose(
+              ad.view().block(rb, cb, tr->size(l, r), tr->size(l, c)),
+              ad.view().block(cb, rb, tr->size(l, c), tr->size(l, r))))
+              << "densify, level " << l << " pair (" << r << ", " << c << ")";
+          Matrix lower(tr->size(l, r), tr->size(l, c)), upper(tr->size(l, c), tr->size(l, r));
+          gen.generate_block(rows, cols, lower.view());
+          gen.generate_block(cols, rows, upper.view());
+          EXPECT_TRUE(is_exact_transpose(lower.view(), upper.view()))
+              << "entry generator, level " << l << " pair (" << r << ", " << c << ")";
+        }
+    }
+    EXPECT_GT(mirrored, 0);
+
+    const index_t n = tr->num_points();
+    Matrix x(n, 3), y(n, 3), ref(n, 3);
+    fill_gaussian(x.view(), GaussianStream(32));
+    h2_matvec(a, x.view(), y.view());
+    la::gemm(1.0, ad.view(), la::Op::None, x.view(), la::Op::None, 0.0, ref.view());
+    EXPECT_LT(max_abs_diff(y.view(), ref.view()), 1e-12);
+  }
 }
 
 TEST(H2Matrix, MemoryGrowsWithProblemSize) {

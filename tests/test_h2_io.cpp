@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "common/random.hpp"
 #include "core/construction.hpp"
@@ -93,6 +95,55 @@ TEST(H2Io, FileRoundTripThenMatvecMatchesDenseTruth) {
   Matrix ya(n, 3);
   h2_matvec(a, x.view(), ya.view());
   EXPECT_EQ(max_abs_diff(y.view(), ya.view()), 0.0);
+}
+
+TEST(H2Io, Version2StoresEachMirroredPairOnce) {
+  // The stream carries version 2 right after the magic, and a mirrored
+  // coupling slot round-trips as the 0 x 0 block it is stored as.
+  const H2Matrix a = make_sketched(400, 88);
+  std::stringstream ss;
+  save_h2(ss, a);
+  const std::string bytes = ss.str();
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(std::uint64_t), sizeof(version));
+  EXPECT_EQ(version, 2u);
+  const H2Matrix b = load_h2(ss);
+  index_t mirrored = 0;
+  for (index_t l = 0; l < a.num_levels(); ++l) {
+    const auto& far = a.mtree.far[static_cast<size_t>(l)];
+    for (index_t r = 0; r < a.tree->nodes_at(l); ++r)
+      for (index_t j = 0; j < far.row_count(r); ++j) {
+        const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
+        const auto& ab = a.coupling[static_cast<size_t>(l)];
+        const auto& bb = b.coupling[static_cast<size_t>(l)];
+        EXPECT_EQ(bb.rows(e), ab.rows(e));
+        EXPECT_EQ(bb.cols(e), ab.cols(e));
+        if (far.col_at(r, j) < r) {
+          ++mirrored;
+          EXPECT_EQ(bb.rows(e) * bb.cols(e), 0);
+        }
+      }
+  }
+  EXPECT_GT(mirrored, 0);
+  EXPECT_EQ(a.device_bytes(), b.device_bytes());
+  EXPECT_EQ(max_abs_diff(densify(a).view(), densify(b).view()), 0.0);
+}
+
+TEST(H2Io, Version1StreamIsRejected) {
+  // Version-1 streams stored both blocks of every mirrored pair.
+  const H2Matrix a = make_cheb(200, 89);
+  std::stringstream ss;
+  save_h2(ss, a);
+  std::string bytes = ss.str();
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + sizeof(std::uint64_t), &v1, sizeof(v1));
+  std::stringstream old(bytes);
+  try {
+    (void)load_h2(old);
+    FAIL() << "a version-1 stream must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"), std::string::npos) << e.what();
+  }
 }
 
 TEST(H2Io, BadMagicThrows) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "batched/device.hpp"
+#include "common/errors.hpp"
 #include "common/random.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/entry_gen.hpp"
@@ -147,6 +149,20 @@ TEST(KernelMatVecSampler, MatchesDenseKernelMatrix) {
   s.sample(omega.view(), y.view());
   la::gemm(1.0, kd.view(), la::Op::None, omega.view(), la::Op::None, 0.0, ref.view());
   EXPECT_LT(max_abs_diff(y.view(), ref.view()), 1e-11);
+}
+
+TEST(KernelByName, KnowsTheToolKernelsAndRejectsOthers) {
+  EXPECT_EQ(kernel_by_name("exp")->name(), "exponential");
+  EXPECT_EQ(kernel_by_name("helm")->name(), "helmholtz_cos");
+  EXPECT_EQ(kernel_by_name("matern")->name(), "matern32");
+  // An unknown name used to become the exponential kernel without a word.
+  try {
+    (void)kernel_by_name("nosuchkernel");
+    FAIL() << "unknown kernel name accepted";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_FALSE(e.retryable());
+    EXPECT_NE(std::string(e.what()).find("nosuchkernel"), std::string::npos);
+  }
 }
 
 } // namespace

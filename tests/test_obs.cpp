@@ -284,6 +284,24 @@ TEST(Trace, StopResetsAndRestartCollectsFresh) {
   EXPECT_EQ(two.events[0].name, "second");
 }
 
+TEST(Trace, BufferGrowsPastOneChunkWithoutDropping) {
+  // One thread records three full 2^15-event chunks plus one event: its
+  // buffer grows a chunk at a time and keeps every event.
+  constexpr std::size_t kEvents = 3 * (std::size_t{1} << 15) + 1;
+  start_trace();
+  std::thread([] {
+    for (std::size_t i = 0; i < kEvents; ++i) trace_instant("test", "tick", "i", i);
+  }).join();
+  TraceData data = stop_trace();
+  EXPECT_EQ(data.dropped, 0u);
+  ASSERT_EQ(data.events.size(), kEvents);
+  std::vector<std::uint64_t> seen;
+  for (const auto& ev : data.events) seen.push_back(ev.args.at(0).second);
+  std::sort(seen.begin(), seen.end());
+  for (std::size_t i = 0; i < kEvents; ++i) ASSERT_EQ(seen[i], i);
+  EXPECT_NE(data.to_json().find("\"otherData\":{\"dropped\":0}"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics registry.
 // ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ TEST(ProxyVsExact, HssBuildAgreesWithTheExactSamplerBuild) {
   auto exact = solver::build_hss(tr, k, opts, kern::SamplerKind::Exact);
   auto proxy = solver::build_hss(tr, k, opts, kern::SamplerKind::Proxy);
 
-  const real_t err_exact = rel_fro_error(exact.matrix.densify().view(), kd.view());
-  const real_t err_proxy = rel_fro_error(proxy.matrix.densify().view(), kd.view());
+  const real_t err_exact = rel_fro_error(h2::densify(exact.matrix).view(), kd.view());
+  const real_t err_proxy = rel_fro_error(h2::densify(proxy.matrix).view(), kd.view());
   EXPECT_LT(err_proxy, std::max<real_t>(10 * err_exact, 10 * opts.tol));
 }
 

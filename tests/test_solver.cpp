@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "batched/batched_solve.hpp"
 #include "common/random.hpp"
 #include "core/construction.hpp"
+#include "h2/h2_dense.hpp"
 #include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/kernels.hpp"
@@ -53,7 +55,7 @@ TEST(HssConstruction, DensifiedMatrixMatchesKernelMatrix) {
   opts.initial_samples = 32;
   auto res = build_hss(tr, sampler, gen, opts);
   res.matrix.validate();
-  EXPECT_LT(rel_fro_error(res.matrix.densify().view(), kd.view()), 1e-5);
+  EXPECT_LT(rel_fro_error(h2::densify(res.matrix).view(), kd.view()), 1e-5);
   EXPECT_EQ(res.stats.csp, 1);
   EXPECT_GT(res.stats.total_samples, 0);
   EXPECT_EQ(res.stats.total_samples, sampler.samples_taken());
@@ -73,7 +75,7 @@ TEST(HssConstruction, AdaptiveSamplingAddsRoundsWhenInitialBlockIsSmall) {
   opts.initial_samples = 8; // far below the 3D ranks: must adapt
   auto res = build_hss(tr, sampler, gen, opts);
   EXPECT_GT(res.stats.sample_rounds, 1);
-  EXPECT_LT(rel_fro_error(res.matrix.densify().view(), kd.view()), 5e-4);
+  EXPECT_LT(rel_fro_error(h2::densify(res.matrix).view(), kd.view()), 5e-4);
 }
 
 TEST(BatchedSolve, PotrfAndTrsmMatchReferenceInBothBackends) {
@@ -220,6 +222,26 @@ TEST(Ulv, ThrowsOnIndefiniteMatrix) {
   opts.initial_samples = 32;
   auto res = build_hss(tr, sampler, gen, opts);
   EXPECT_THROW(ulv_factor(res.matrix), std::runtime_error);
+}
+
+TEST(Ulv, RejectsAMatrixWithoutTheWeakPattern) {
+  // ULV reads the HSS pattern in place; a strong-admissibility H2 matrix of
+  // the same kernel has more far pairs per row and a wider near field.
+  auto tr = test_util::build_cube_tree(512, 2, 84, 32);
+  kern::ExponentialKernel base(0.3);
+  kern::RidgeKernel k(base, 1.0);
+  kern::KernelMatVecSampler sampler(*tr, k);
+  kern::KernelEntryGenerator gen(*tr, k);
+  core::ConstructionOptions opts;
+  opts.tol = 1e-6;
+  auto res = core::construct_h2(tr, tree::Admissibility::general(0.7), sampler, gen, opts);
+  try {
+    (void)ulv_factor(res.matrix);
+    FAIL() << "ulv_factor accepted a strong-admissibility matrix";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("weak-admissibility (HSS) pattern"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Ulv, SingleLevelTreeFallsBackToDenseCholesky) {
