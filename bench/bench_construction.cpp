@@ -94,10 +94,10 @@ Measurement best_of(index_t n, index_t leaf, int threads, int reps, kern::Sample
 int main(int argc, char** argv) {
   const bool smoke = has_flag(argc, argv, "--smoke");
   // --proxy switches the sketching operator to the O(N d) proxy-point
-  // sampler (H2SKETCH_SAMPLER=exact|proxy overrides either default) — the
-  // CI sanitizers drive the proxy launch paths through this flag.
-  const kern::SamplerKind kind = kern::sampler_kind_from_env(
-      has_flag(argc, argv, "--proxy") ? kern::SamplerKind::Proxy : kern::SamplerKind::Exact);
+  // sampler — the CI sanitizers drive the proxy launch paths through this
+  // flag.
+  const kern::SamplerKind kind =
+      has_flag(argc, argv, "--proxy") ? kern::SamplerKind::Proxy : kern::SamplerKind::Exact;
 
   // A 3D cube at eta = 0.7 needs depth before any pair is admissible
   // (leaf 32 has zero far blocks below N ~ 2048), so the smoke problem

@@ -5,6 +5,7 @@
 #include "batched/batched_rand.hpp"
 #include "batched/bsr_gemm.hpp"
 #include "core/builder.hpp"
+#include "h2/h2_matvec.hpp"
 #include "la/blas.hpp"
 #include "obs/metrics.hpp"
 
@@ -169,68 +170,31 @@ void H2SketchBuilder::extend_yloc(index_t level, index_t c0, index_t dn) {
 
 void H2SketchBuilder::extend_upswept(index_t level, index_t c0, index_t dn) {
   PhaseScope scope(stats_.phases, Phase::Upsweep);
-  const index_t leaf = tree_->leaf_level();
   const index_t nodes = tree_->nodes_at(level);
   const auto ul = static_cast<size_t>(level);
 
+  std::vector<ConstMatrixView> src;
+  std::vector<MatrixView> ydst, below, coeffs;
   for (index_t i = 0; i < nodes; ++i) {
-    y_up_[ul][static_cast<size_t>(i)].append_cols(ctx_.device(), dn);
-    omega_up_[ul][static_cast<size_t>(i)].append_cols(ctx_.device(), dn);
+    const auto ui = static_cast<size_t>(i);
+    y_up_[ul][ui].append_cols(ctx_.device(), dn);
+    omega_up_[ul][ui].append_cols(ctx_.device(), dn);
+    src.push_back(yloc_[ul][ui].view().col_range(c0, dn));
+    ydst.push_back(y_up_[ul][ui].view().col_range(c0, dn));
+    coeffs.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
   }
+  if (level != tree_->leaf_level())
+    for (auto& child : omega_up_[ul + 1]) below.push_back(child.view().col_range(c0, dn));
 
-  // y_up(:, new) = Y_loc(J, new) — batchedShrink on the new columns, on the
-  // sample stream (FIFO after the Y_loc assembly), concurrent with the
-  // omega_up extension on the basis stream below.
-  {
-    std::vector<ConstMatrixView> src;
-    std::vector<MatrixView> dst;
-    for (index_t i = 0; i < nodes; ++i) {
-      const auto ui = static_cast<size_t>(i);
-      src.push_back(yloc_[ul][ui].view().col_range(c0, dn));
-      dst.push_back(y_up_[ul][ui].view().col_range(c0, dn));
-    }
-    batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
-                                 std::move(dst));
-  }
-
-  // omega_up(:, new): U^T Omega(I, new) at the leaf, transfer products above.
-  if (level == leaf) {
-    std::vector<ConstMatrixView> av, bv;
-    std::vector<MatrixView> cv;
-    for (index_t i = 0; i < nodes; ++i) {
-      const auto ui = static_cast<size_t>(i);
-      av.push_back(out_.basis[ul].dev(i));
-      bv.push_back(
-          omega_global_.view().block(tree_->begin(level, i), c0, tree_->size(level, i), dn));
-      cv.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
-    }
-    batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                          std::move(bv), la::Op::None, 0.0, std::move(cv));
-  } else {
-    for (int side = 0; side < 2; ++side) {
-      std::vector<ConstMatrixView> av, bv;
-      std::vector<MatrixView> cv;
-      for (index_t i = 0; i < nodes; ++i) {
-        const auto ui = static_cast<size_t>(i);
-        const index_t k = out_.ranks[ul][ui];
-        const index_t r1 = out_.ranks[ul + 1][static_cast<size_t>(2 * i)];
-        const index_t rs = side == 0 ? r1 : out_.ranks[ul + 1][static_cast<size_t>(2 * i + 1)];
-        const index_t row0 = side == 0 ? 0 : r1;
-        if (k == 0 || rs == 0) {
-          // Appended columns start zeroed; skipping equals the beta=0 case.
-          av.push_back(ConstMatrixView());
-          bv.push_back(ConstMatrixView());
-          cv.push_back(MatrixView());
-          continue;
-        }
-        av.push_back(out_.basis[ul].dev(i).block(row0, 0, rs, k));
-        bv.push_back(omega_up_[ul + 1][static_cast<size_t>(2 * i + side)].view().col_range(c0, dn));
-        cv.push_back(omega_up_[ul][ui].view().col_range(c0, dn));
-      }
-      batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                            std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
-    }
-  }
+  // y_up(:, new) = Y_loc(J, new): batchedShrink (Lines 17 / 35) on the
+  // sample stream, FIFO after the Y_loc assembly. Concurrently on the basis
+  // stream, omega_up(:, new) is the upward pass of Omega(:, new) (batchedGemm,
+  // Lines 18 / 36). The two pipelines touch disjoint state; extend_yloc of
+  // the next level is their common consumer and syncs before reading.
+  batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
+                               std::move(ydst));
+  h2::upsweep_level(ctx_, batched::kBasisStream, out_, level,
+                    omega_global_.view().col_range(c0, dn), below, coeffs);
 }
 
 void H2SketchBuilder::add_sample_round(index_t level) {

@@ -8,9 +8,10 @@
 
 /// \file builder.hpp
 /// Internal state machine for Algorithm 1. Split across construction.cpp
-/// (driver, skeletonization, entry generation) and adaptive.cpp (sampling,
-/// updateSamples sweep, convergence). Not part of the public API surface,
-/// but exposed for white-box tests.
+/// (driver, skeletonization) and adaptive.cpp (sampling, updateSamples
+/// sweep, convergence); the arena fills and the upward pass are the shared
+/// h2/ steps (h2_assembly.hpp, h2_matvec.hpp). Not part of the public API
+/// surface.
 
 namespace h2sketch::core::detail {
 
@@ -24,9 +25,9 @@ class H2SketchBuilder {
 
  private:
   // --- driver phases (construction.cpp) ---
-  void generate_dense_blocks();
+  /// Row-ID the level's samples, store its bases and skeletons, and run
+  /// its first upsweep (extend_upswept over every column so far).
   void skeletonize_level(index_t level);
-  void generate_coupling(index_t level);
   void finalize_stats(double t0);
 
   // --- sampling & adaptivity (adaptive.cpp) ---
@@ -34,8 +35,8 @@ class H2SketchBuilder {
   void sample_columns(index_t d_new);
   /// Allocate/extend Y_loc at `level` and fill columns [c0, c0 + dn).
   void extend_yloc(index_t level, index_t c0, index_t dn);
-  /// Extend the upswept (y_up, omega_up) of a *skeletonized* level for the
-  /// new columns [c0, c0 + dn).
+  /// Append the columns [c0, c0 + dn) to the upswept (y_up, omega_up) of a
+  /// *skeletonized* level.
   void extend_upswept(index_t level, index_t c0, index_t dn);
   /// One adaptive round while processing `level`: sample, sweep through the
   /// completed levels below, extend the current level's Y_loc.
@@ -72,8 +73,6 @@ class H2SketchBuilder {
   std::vector<std::vector<backend::DeviceMatrix>> y_up_, omega_up_;
   /// Skeleton row indices *local to Y_loc's rows*, per node.
   std::vector<std::vector<std::vector<index_t>>> jlocal_;
-  /// Permuted position lists of each leaf cluster (iota over its range).
-  std::vector<std::vector<index_t>> leaf_positions_;
 
   /// Incremental convergence-probe state, valid for probe_level_ only: per
   /// node a copy of Y_loc whose first probe_cols_ columns hold their
@@ -82,8 +81,6 @@ class H2SketchBuilder {
   index_t probe_cols_ = 0;
   std::vector<backend::DeviceMatrix> probe_work_;
   std::vector<std::vector<real_t>> probe_tau_;
-
-  friend class BuilderTestPeer;
 };
 
 } // namespace h2sketch::core::detail

@@ -1,14 +1,12 @@
 #include "core/construction.hpp"
 
 #include <cmath>
-#include <numeric>
 #include <string>
 
-#include "batched/batched_gemm.hpp"
 #include "batched/batched_id.hpp"
 #include "common/errors.hpp"
 #include "core/builder.hpp"
-#include "la/blas.hpp"
+#include "h2/h2_assembly.hpp"
 #include "obs/metrics.hpp"
 
 namespace h2sketch::core {
@@ -33,14 +31,6 @@ H2SketchBuilder::H2SketchBuilder(std::shared_ptr<const tree::ClusterTree> tree,
   jlocal_.resize(static_cast<size_t>(levels));
   for (index_t l = 0; l < levels; ++l)
     jlocal_[static_cast<size_t>(l)].resize(static_cast<size_t>(tree_->nodes_at(l)));
-
-  const index_t leaf = tree_->leaf_level();
-  leaf_positions_.resize(static_cast<size_t>(tree_->nodes_at(leaf)));
-  for (index_t i = 0; i < tree_->nodes_at(leaf); ++i) {
-    auto& pos = leaf_positions_[static_cast<size_t>(i)];
-    pos.resize(static_cast<size_t>(tree_->size(leaf, i)));
-    std::iota(pos.begin(), pos.end(), tree_->begin(leaf, i));
-  }
 }
 
 ConstructionResult H2SketchBuilder::run() {
@@ -49,8 +39,13 @@ ConstructionResult H2SketchBuilder::run() {
 
   // Enqueued on the entry-gen stream: the near-field blocks generate while
   // the initial sketch round below runs the monolithic sampler product —
-  // the two inputs of Algorithm 1 are independent until the leaf sweep.
-  generate_dense_blocks();
+  // the two inputs of Algorithm 1 are independent until the leaf sweep. The
+  // phase scope times only the marshaling; the generation itself overlaps
+  // the sampling and is charged to wall time.
+  {
+    PhaseScope scope(stats_.phases, Phase::EntryGen);
+    h2::generate_near_field(ctx_, out_, gen_);
+  }
 
   if (out_.mtree.has_any_far()) {
     // Initial sketch round (Line 1 of Algorithm 1).
@@ -74,7 +69,11 @@ ConstructionResult H2SketchBuilder::run() {
         }
       }
       skeletonize_level(l);
-      generate_coupling(l);
+      // Asynchronous: coupling generation overlaps the level's upsweep
+      // launches (and, for the last level, nothing waits until the final
+      // sync_all).
+      PhaseScope scope(stats_.phases, Phase::EntryGen);
+      h2::generate_coupling(ctx_, out_, gen_, l, l + 1);
     }
   }
 
@@ -84,38 +83,8 @@ ConstructionResult H2SketchBuilder::run() {
   return ConstructionResult{std::move(out_), stats_};
 }
 
-void H2SketchBuilder::generate_dense_blocks() {
-  // Marshal on this thread, generate asynchronously: the phase scope times
-  // only the marshaling; the generation itself overlaps the initial
-  // sampling and is charged to wall time, not the EntryGen phase.
-  PhaseScope scope(stats_.phases, Phase::EntryGen);
-  const index_t leaf = tree_->leaf_level();
-  const auto& near = out_.mtree.near_leaf;
-  // Shapes first, one device allocation for the whole near field, then the
-  // generation launches write straight into the arena slots — the blocks
-  // are born on the device and never cross the marshaling boundary.
-  for (index_t r = 0; r < tree_->nodes_at(leaf); ++r)
-    for (index_t j = 0; j < near.row_count(r); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      out_.dense.set_shape(e, tree_->size(leaf, r), tree_->size(leaf, c));
-    }
-  out_.dense.allocate(ctx_.device());
-  std::vector<kern::BlockRequest> reqs;
-  reqs.reserve(static_cast<size_t>(near.count()));
-  for (index_t r = 0; r < tree_->nodes_at(leaf); ++r)
-    for (index_t j = 0; j < near.row_count(r); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      reqs.push_back({leaf_positions_[static_cast<size_t>(r)],
-                      leaf_positions_[static_cast<size_t>(c)], out_.dense.dev(e)});
-    }
-  kern::batched_generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
-}
-
 void H2SketchBuilder::skeletonize_level(index_t level) {
   const index_t nodes = tree_->nodes_at(level);
-  const index_t leaf = tree_->leaf_level();
   const auto ul = static_cast<size_t>(level);
 
   // Batched row ID of the level's samples (Lines 16 / 34).
@@ -137,28 +106,10 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
     for (index_t i = 0; i < nodes; ++i) {
       const auto ui = static_cast<size_t>(i);
       la::RowID& id = ids[ui];
-      const index_t k = static_cast<index_t>(id.skeleton.size());
-      out_.ranks[ul][ui] = k;
-      rank_sketch.record(static_cast<double>(k));
+      rank_sketch.record(static_cast<double>(id.skeleton.size()));
+      h2::set_skeleton(out_, level, i, id.skeleton);
       out_.basis[ul].set_shape(i, id.interp.rows(), id.interp.cols());
-      jlocal_[ul][ui] = id.skeleton;
-
-      auto& skel = out_.skeleton[ul][ui];
-      skel.resize(static_cast<size_t>(k));
-      if (level == leaf) {
-        const index_t b = tree_->begin(level, i);
-        for (index_t s = 0; s < k; ++s) skel[static_cast<size_t>(s)] = b + id.skeleton[static_cast<size_t>(s)];
-      } else {
-        // Stacked child skeletons [I_nu1, I_nu2]; J selects rows of the stack.
-        const auto& s1 = out_.skeleton[ul + 1][static_cast<size_t>(2 * i)];
-        const auto& s2 = out_.skeleton[ul + 1][static_cast<size_t>(2 * i + 1)];
-        const index_t r1 = static_cast<index_t>(s1.size());
-        for (index_t s = 0; s < k; ++s) {
-          const index_t j = id.skeleton[static_cast<size_t>(s)];
-          skel[static_cast<size_t>(s)] =
-              j < r1 ? s1[static_cast<size_t>(j)] : s2[static_cast<size_t>(j - r1)];
-        }
-      }
+      jlocal_[ul][ui] = std::move(id.skeleton);
     }
     // One packed device allocation for the level's bases/transfers; the ID
     // interpolants are the only operands produced host-side, so this upload
@@ -168,109 +119,15 @@ void H2SketchBuilder::skeletonize_level(index_t level) {
       out_.basis[ul].upload(i, ids[static_cast<size_t>(i)].interp.view());
   }
 
-  // Upsweep samples (batchedShrink, Lines 17 / 35): y_up = Y_loc(J, :), on
-  // the sample stream — and, concurrently on the basis stream, the upsweep
-  // of the random vectors (batchedGemm, Lines 18 / 36). The two pipelines
-  // touch disjoint state (y_up vs omega_up); extend_yloc of the next level
-  // is their common consumer and syncs before reading.
-  {
-    PhaseScope scope(stats_.phases, Phase::Upsweep);
-    auto& yup = y_up_[ul];
-    yup.resize(static_cast<size_t>(nodes));
-    std::vector<ConstMatrixView> src;
-    std::vector<MatrixView> dst;
-    for (index_t i = 0; i < nodes; ++i) {
-      const auto ui = static_cast<size_t>(i);
-      yup[ui].resize(ctx_.device(), out_.ranks[ul][ui], d_total_);
-      src.push_back(yloc_[ul][ui].view());
-      dst.push_back(yup[ui].view());
-    }
-    batched::batched_gather_rows(ctx_, batched::kSampleStream, std::move(src), jlocal_[ul],
-                                 std::move(dst));
-
-    auto& oup = omega_up_[ul];
-    oup.resize(static_cast<size_t>(nodes));
-    for (index_t i = 0; i < nodes; ++i)
-      oup[static_cast<size_t>(i)].resize(ctx_.device(), out_.ranks[ul][static_cast<size_t>(i)],
-                                         d_total_);
-    if (level == leaf) {
-      // omega_up = U^T Omega(I_tau, :).
-      std::vector<ConstMatrixView> av, bv;
-      std::vector<MatrixView> cv;
-      for (index_t i = 0; i < nodes; ++i) {
-        const auto ui = static_cast<size_t>(i);
-        av.push_back(out_.basis[ul].dev(i));
-        bv.push_back(omega_global_.view().row_range(tree_->begin(level, i), tree_->size(level, i)));
-        cv.push_back(oup[ui].view());
-      }
-      batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                            std::move(bv), la::Op::None, 0.0, std::move(cv));
-    } else {
-      // omega_up = E1^T omega_up_nu1 + E2^T omega_up_nu2. Both half-launches
-      // go to the basis stream: FIFO order makes the side-1 accumulation
-      // (beta = 1) safe without a barrier.
-      for (int side = 0; side < 2; ++side) {
-        std::vector<ConstMatrixView> av, bv;
-        std::vector<MatrixView> cv;
-        for (index_t i = 0; i < nodes; ++i) {
-          const auto ui = static_cast<size_t>(i);
-          const index_t k = out_.ranks[ul][ui];
-          const index_t r1 = out_.ranks[ul + 1][static_cast<size_t>(2 * i)];
-          const index_t rs = side == 0 ? r1 : out_.ranks[ul + 1][static_cast<size_t>(2 * i + 1)];
-          const index_t row0 = side == 0 ? 0 : r1;
-          if (k == 0 || rs == 0) {
-            // No contribution from this side; omega_up starts zeroed, so
-            // skipping is equivalent to the beta=0 overwrite.
-            av.push_back(ConstMatrixView());
-            bv.push_back(ConstMatrixView());
-            cv.push_back(MatrixView());
-            continue;
-          }
-          av.push_back(out_.basis[ul].dev(i).block(row0, 0, rs, k));
-          bv.push_back(omega_up_[ul + 1][static_cast<size_t>(2 * i + side)].view());
-          cv.push_back(oup[ui].view());
-        }
-        batched::batched_gemm(ctx_, batched::kBasisStream, 1.0, std::move(av), la::Op::Trans,
-                              std::move(bv), la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
-      }
-    }
+  // First upsweep of the level: every sample column so far, appended to
+  // empty rank x 0 panels.
+  y_up_[ul].resize(static_cast<size_t>(nodes));
+  omega_up_[ul].resize(static_cast<size_t>(nodes));
+  for (index_t i = 0; i < nodes; ++i) {
+    y_up_[ul][static_cast<size_t>(i)].resize(ctx_.device(), out_.rank(level, i), 0);
+    omega_up_[ul][static_cast<size_t>(i)].resize(ctx_.device(), out_.rank(level, i), 0);
   }
-}
-
-void H2SketchBuilder::generate_coupling(index_t level) {
-  PhaseScope scope(stats_.phases, Phase::EntryGen);
-  const auto ul = static_cast<size_t>(level);
-  const auto& far = out_.mtree.far[ul];
-  if (far.empty()) return;
-  // Coupling blocks are generated directly into the level's packed arena,
-  // one per mirrored pair: B_{r,c} with r < c; the (c, r) entry keeps a
-  // 0 x 0 slot and is read as B_{r,c}^T.
-  for (index_t r = 0; r < tree_->nodes_at(level); ++r)
-    for (index_t j = 0; j < far.row_count(r); ++j) {
-      const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = far.col[static_cast<size_t>(e)];
-      if (r < c)
-        out_.coupling[ul].set_shape(
-            e, static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(r)].size()),
-            static_cast<index_t>(out_.skeleton[ul][static_cast<size_t>(c)].size()));
-    }
-  out_.coupling[ul].allocate(ctx_.device());
-  std::vector<kern::BlockRequest> reqs;
-  reqs.reserve(static_cast<size_t>(far.count() / 2));
-  for (index_t r = 0; r < tree_->nodes_at(level); ++r) {
-    for (index_t j = 0; j < far.row_count(r); ++j) {
-      const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-      const index_t c = far.col[static_cast<size_t>(e)];
-      if (r > c) continue;
-      const auto& rs = out_.skeleton[ul][static_cast<size_t>(r)];
-      const auto& cs = out_.skeleton[ul][static_cast<size_t>(c)];
-      reqs.push_back({rs, cs, out_.coupling[ul].dev(e)});
-    }
-  }
-  // Asynchronous: coupling generation overlaps the level's upsweep launches
-  // (and, for the last level, nothing waits until the final sync_all). The
-  // skeleton index sets referenced by the requests are stable members.
-  kern::batched_generate(ctx_, batched::kEntryGenStream, gen_, std::move(reqs));
+  extend_upswept(level, 0, d_total_);
 }
 
 void H2SketchBuilder::finalize_stats(double t0) {
@@ -333,8 +190,7 @@ ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 kern::SamplerKind kind, kern::ProxySamplerOptions proxy_opts) {
   if (proxy_opts.tol <= 0) proxy_opts.tol = opts.tol;
   const kern::KernelEntryGenerator gen(*tree, kernel);
-  auto sampler =
-      kern::make_kernel_sampler(kern::sampler_kind_from_env(kind), tree, kernel, proxy_opts);
+  auto sampler = kern::make_kernel_sampler(kind, tree, kernel, proxy_opts);
   return construct_h2(std::move(tree), adm, *sampler, gen, opts);
 }
 

@@ -53,10 +53,9 @@ ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const kern::EntryGenerator& gen, const ConstructionOptions& opts);
 
 /// Kernel-matrix entry point with selectable sampling: instantiates the
-/// entry generator and a sampler of the requested kind internally
-/// (H2SKETCH_SAMPLER=exact|proxy overrides `kind`). Exact is the O(N^2 d)
-/// oracle; Proxy evaluates sketches at O(N d) through a proxy-point
-/// surrogate. proxy_opts.tol <= 0 inherits opts.tol.
+/// entry generator and a sampler of the requested kind internally. Exact is
+/// the O(N^2 d) oracle; Proxy evaluates sketches at O(N d) through a
+/// proxy-point surrogate. proxy_opts.tol <= 0 inherits opts.tol.
 ConstructionResult construct_h2(std::shared_ptr<const tree::ClusterTree> tree,
                                 const tree::Admissibility& adm,
                                 const kern::KernelFunction& kernel, const ConstructionOptions& opts,

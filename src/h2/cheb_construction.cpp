@@ -1,9 +1,13 @@
 #include "h2/cheb_construction.hpp"
 
-#include "backend/registry.hpp"
-
 #include <cmath>
 #include <numbers>
+#include <numeric>
+#include <vector>
+
+#include "backend/registry.hpp"
+#include "common/parallel.hpp"
+#include "kernels/entry_gen.hpp"
 
 namespace h2sketch::h2 {
 
@@ -132,51 +136,56 @@ H2Matrix build_cheb_h2(std::shared_ptr<const tree::ClusterTree> tree,
     }
   }
 
-  // Coupling blocks: kernel between the two grids, one per mirrored pair
-  // (s < c); the (c, s) slot stays 0 x 0.
+  // Every node's grid points, appended after the tree's N points: node i at
+  // level l holds the extended positions N + (2^l - 1 + i) * rank + [0, rank).
+  const index_t num_nodes = 2 * t.nodes_at(leaf) - 1;
+  std::vector<real_t> grid_pts(static_cast<size_t>(num_nodes * rank * dim));
+  std::vector<index_t> grid_pos(static_cast<size_t>(num_nodes * rank));
+  std::iota(grid_pos.begin(), grid_pos.end(), t.num_points());
+  const auto first = [&](index_t l, index_t i) { return (t.nodes_at(l) - 1 + i) * rank; };
+  for (index_t l = 0; l < t.num_levels(); ++l)
+    for (index_t i = 0; i < t.nodes_at(l); ++i)
+      for (index_t m = 0; m < rank; ++m)
+        grids[static_cast<size_t>(l)][static_cast<size_t>(i)].point(
+            m, &grid_pts[static_cast<size_t>((first(l, i) + m) * dim)]);
+  const auto grid = [&](index_t l, index_t i) {
+    return const_index_span(grid_pos).subspan(static_cast<size_t>(first(l, i)),
+                                              static_cast<size_t>(rank));
+  };
+  const kern::KernelEntryGenerator gen(t, kernel, grid_pts);
+
+  // Coupling blocks, the kernel between two grids, one per mirrored pair
+  // (s < c; the (c, s) slot stays 0 x 0), and the near field, exact kernel
+  // entries: evaluated on the pool, then staged in order.
+  struct Block {
+    backend::BlockArena* arena;
+    index_t slot;
+    const_index_span rows, cols;
+  };
+  std::vector<Block> blocks;
   for (index_t l = 0; l < t.num_levels(); ++l) {
     const auto& far = a.mtree.far[static_cast<size_t>(l)];
-    for (index_t s = 0; s < t.nodes_at(l); ++s) {
-      for (index_t j = 0; j < far.row_count(s); ++j) {
-        const index_t e = far.row_ptr[static_cast<size_t>(s)] + j;
-        const index_t c = far.col[static_cast<size_t>(e)];
-        if (s > c) continue;
-        const ChebGrid& gs = grids[static_cast<size_t>(l)][static_cast<size_t>(s)];
-        const ChebGrid& gc = grids[static_cast<size_t>(l)][static_cast<size_t>(c)];
-        Matrix b(rank, rank);
-        for (index_t mt = 0; mt < rank; ++mt) {
-          real_t y[3] = {0, 0, 0};
-          gc.point(mt, y);
-          for (index_t ms = 0; ms < rank; ++ms) {
-            real_t x[3] = {0, 0, 0};
-            gs.point(ms, x);
-            b(ms, mt) = kernel.evaluate(x, y, dim);
-          }
-        }
-        a.coupling[static_cast<size_t>(l)].stage(e, std::move(b));
-      }
-    }
+    for (index_t s = 0; s < t.nodes_at(l); ++s)
+      for (index_t j = 0; j < far.row_count(s); ++j)
+        if (s < far.col_at(s, j))
+          blocks.push_back({&a.coupling[static_cast<size_t>(l)],
+                            far.row_ptr[static_cast<size_t>(s)] + j, grid(l, s),
+                            grid(l, far.col_at(s, j))});
   }
-
-  // Dense near field: exact kernel entries.
   const auto& near = a.mtree.near_leaf;
-  for (index_t s = 0; s < t.nodes_at(leaf); ++s) {
-    for (index_t j = 0; j < near.row_count(s); ++j) {
-      const index_t e = near.row_ptr[static_cast<size_t>(s)] + j;
-      const index_t c = near.col[static_cast<size_t>(e)];
-      Matrix dmat(t.size(leaf, s), t.size(leaf, c));
-      for (index_t jj = 0; jj < dmat.cols(); ++jj) {
-        real_t y[3] = {0, 0, 0};
-        for (index_t d = 0; d < dim; ++d) y[d] = t.coord_permuted(t.begin(leaf, c) + jj, d);
-        for (index_t ii = 0; ii < dmat.rows(); ++ii) {
-          real_t x[3] = {0, 0, 0};
-          for (index_t d = 0; d < dim; ++d) x[d] = t.coord_permuted(t.begin(leaf, s) + ii, d);
-          dmat(ii, jj) = kernel.evaluate(x, y, dim);
-        }
-      }
-      a.dense.stage(e, std::move(dmat));
-    }
-  }
+  for (index_t s = 0; s < t.nodes_at(leaf); ++s)
+    for (index_t j = 0; j < near.row_count(s); ++j)
+      blocks.push_back({&a.dense, near.row_ptr[static_cast<size_t>(s)] + j,
+                        t.positions(leaf, s), t.positions(leaf, near.col_at(s, j))});
+  std::vector<Matrix> values(blocks.size());
+  parallel_for(static_cast<index_t>(blocks.size()), [&](index_t b) {
+    const Block& blk = blocks[static_cast<size_t>(b)];
+    Matrix& m = values[static_cast<size_t>(b)];
+    m = Matrix(static_cast<index_t>(blk.rows.size()), static_cast<index_t>(blk.cols.size()));
+    gen.generate_block(blk.rows, blk.cols, m.view());
+  });
+  for (size_t b = 0; b < blocks.size(); ++b)
+    blocks[b].arena->stage(blocks[b].slot, std::move(values[b]));
 
   // Host-side writer: commit each staged arena to the process default
   // device (one allocation + upload per level; mirrors stay warm).

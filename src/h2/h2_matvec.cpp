@@ -110,54 +110,12 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
     return;
   }
 
-  // Upward pass, leaf: xhat = U^T xd(I_tau, :).
-  {
-    const auto& ub = a.basis[static_cast<size_t>(leaf)];
-    std::vector<ConstMatrixView> av, bv;
-    std::vector<MatrixView> cv;
-    for (index_t i = 0; i < t.nodes_at(leaf); ++i) {
-      if (a.rank(leaf, i) == 0) {
-        av.push_back(ConstMatrixView());
-        bv.push_back(ConstMatrixView());
-        cv.push_back(MatrixView());
-        continue;
-      }
-      av.push_back(ub.dev(i));
-      bv.push_back(xd.row_range(t.begin(leaf, i), t.size(leaf, i)));
-      cv.push_back(xhat[static_cast<size_t>(leaf)][static_cast<size_t>(i)]);
-    }
-    batched::batched_gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::Trans, std::move(bv),
-                          la::Op::None, 0.0, std::move(cv));
-  }
-
-  // Upward pass, inner: xhat_tau = E_left^T xhat_l + E_right^T xhat_r.
-  // Level-to-level dependencies ride the stream's FIFO order — no barriers.
-  for (index_t l = leaf - 1; l >= 1; --l) {
-    // Two half-launches (left children then right children) so each parent
-    // coefficient block is written by one entry per launch.
-    for (int side = 0; side < 2; ++side) {
-      std::vector<ConstMatrixView> av, bv;
-      std::vector<MatrixView> cv;
-      for (index_t i = 0; i < t.nodes_at(l); ++i) {
-        const index_t r_left = a.rank(l + 1, 2 * i);
-        const index_t r_side = side == 0 ? r_left : a.rank(l + 1, 2 * i + 1);
-        const index_t row0 = side == 0 ? 0 : r_left;
-        const index_t r_tau = a.rank(l, i);
-        if (r_tau == 0 || r_side == 0) {
-          // Rank-0 parent or child: no contribution (xhat starts zeroed).
-          av.push_back(ConstMatrixView());
-          bv.push_back(ConstMatrixView());
-          cv.push_back(MatrixView());
-          continue;
-        }
-        av.push_back(a.basis[static_cast<size_t>(l)].dev(i).block(row0, 0, r_side, r_tau));
-        bv.push_back(xhat[static_cast<size_t>(l + 1)][static_cast<size_t>(2 * i + side)]);
-        cv.push_back(xhat[static_cast<size_t>(l)][static_cast<size_t>(i)]);
-      }
-      batched::batched_gemm(ctx, kLowRank, 1.0, std::move(av), la::Op::Trans, std::move(bv),
-                            la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
-    }
-  }
+  // Upward pass: level-to-level dependencies ride the stream's FIFO order,
+  // no barriers.
+  for (index_t l = leaf; l >= 1; --l)
+    upsweep_level(ctx, kLowRank, a, l, xd,
+                  l == leaf ? std::span<const MatrixView>() : xhat[static_cast<size_t>(l + 1)],
+                  xhat[static_cast<size_t>(l)]);
 
   // Coupling phase: yhat[s] += B_{s,t} xhat[t] per level, conflict-free BSR;
   // a mirrored entry reads its stored B_{t,s} transposed. Levels are
@@ -237,6 +195,47 @@ void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixVie
   // back over the marshaling boundary.
   ctx.sync_all();
   dev.download(yd, y);
+}
+
+void upsweep_level(batched::ExecutionContext& ctx, StreamId stream, const H2Matrix& a,
+                   index_t level, ConstMatrixView x, std::span<const MatrixView> below,
+                   std::span<const MatrixView> coeffs) {
+  const tree::ClusterTree& t = *a.tree;
+  const auto& basis = a.basis[static_cast<size_t>(level)];
+  if (level == t.leaf_level()) {
+    std::vector<ConstMatrixView> av, bv;
+    std::vector<MatrixView> cv;
+    for (index_t i = 0; i < t.nodes_at(level); ++i) {
+      av.push_back(basis.dev(i));
+      bv.push_back(x.row_range(t.begin(level, i), t.size(level, i)));
+      cv.push_back(coeffs[static_cast<size_t>(i)]);
+    }
+    batched::batched_gemm(ctx, stream, 1.0, std::move(av), la::Op::Trans, std::move(bv),
+                          la::Op::None, 0.0, std::move(cv));
+    return;
+  }
+  // Two half-launches (left children then right children) so each parent
+  // coefficient block is written by one entry per launch.
+  for (int side = 0; side < 2; ++side) {
+    std::vector<ConstMatrixView> av, bv;
+    std::vector<MatrixView> cv;
+    for (index_t i = 0; i < t.nodes_at(level); ++i) {
+      const index_t r_left = a.rank(level + 1, 2 * i);
+      const index_t r_side = side == 0 ? r_left : a.rank(level + 1, 2 * i + 1);
+      const index_t r_tau = a.rank(level, i);
+      if (r_tau == 0 || r_side == 0) {
+        av.push_back(ConstMatrixView());
+        bv.push_back(ConstMatrixView());
+        cv.push_back(MatrixView());
+        continue;
+      }
+      av.push_back(basis.dev(i).block(side == 0 ? 0 : r_left, 0, r_side, r_tau));
+      bv.push_back(below[static_cast<size_t>(2 * i + side)]);
+      cv.push_back(coeffs[static_cast<size_t>(i)]);
+    }
+    batched::batched_gemm(ctx, stream, 1.0, std::move(av), la::Op::Trans, std::move(bv),
+                          la::Op::None, side == 0 ? 0.0 : 1.0, std::move(cv));
+  }
 }
 
 void H2Matrix::matvec(batched::ExecutionContext& ctx, ConstMatrixView x, MatrixView y) const {

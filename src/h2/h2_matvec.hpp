@@ -1,6 +1,7 @@
 #pragma once
 
 #include <mutex>
+#include <span>
 
 #include "batched/device.hpp"
 #include "h2/h2_matrix.hpp"
@@ -19,6 +20,17 @@ namespace h2sketch::h2 {
 /// y = A * x with x, y (N x d) in the tree's permuted position order.
 void h2_matvec(batched::ExecutionContext& ctx, const H2Matrix& a, ConstMatrixView x,
                MatrixView y);
+
+/// One level of the upward pass, asynchronous on `stream`: at the leaf
+/// level coeffs[i] = U_i^T x(I_i, :) for the N-row panel x; above it
+/// coeffs[i] = E_left^T below[2i] + E_right^T below[2i + 1] over the
+/// level + 1 coefficients, as two launches (left, then right accumulating).
+/// Rank-0 nodes and children contribute nothing, so `coeffs` must start
+/// zeroed. The shared upsweep of the matvec and the sketching
+/// construction's sample sweep.
+void upsweep_level(batched::ExecutionContext& ctx, batched::StreamId stream, const H2Matrix& a,
+                   index_t level, ConstMatrixView x, std::span<const MatrixView> below,
+                   std::span<const MatrixView> coeffs);
 
 /// Convenience overload with an internal batched context.
 void h2_matvec(const H2Matrix& a, ConstMatrixView x, MatrixView y);

@@ -35,13 +35,17 @@ void batched_generate(batched::ExecutionContext& ctx, const EntryGenerator& gen,
 }
 
 KernelEntryGenerator::KernelEntryGenerator(const tree::ClusterTree& tree,
-                                           const KernelFunction& kernel)
+                                           const KernelFunction& kernel,
+                                           std::span<const real_t> appended)
     : kernel_(&kernel), dim_(tree.dim()) {
+  H2S_CHECK(appended.size() % static_cast<size_t>(dim_) == 0,
+            "KernelEntryGenerator: appended coordinates are not whole points");
   const index_t n = tree.num_points();
   coords_.resize(static_cast<size_t>(n * dim_));
   for (index_t p = 0; p < n; ++p)
     for (index_t d = 0; d < dim_; ++d)
       coords_[static_cast<size_t>(p * dim_ + d)] = tree.coord_permuted(p, d);
+  coords_.insert(coords_.end(), appended.begin(), appended.end());
 }
 
 void KernelEntryGenerator::generate_block(const_index_span rows, const_index_span cols,

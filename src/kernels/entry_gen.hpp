@@ -54,18 +54,23 @@ void batched_generate(batched::ExecutionContext& ctx, const EntryGenerator& gen,
                       std::span<const BlockRequest> requests);
 
 /// Entry generator for a kernel matrix on clustered geometry:
-/// K(i, j) = kernel(points[perm[i]], points[perm[j]]).
-/// Caches permuted coordinates contiguously for locality.
+/// K(i, j) = kernel(x_i, x_j), where x_p is the point at permuted position p
+/// for p < N and appended point p - N for p >= N. Appended points (proxy
+/// surfaces, interpolation grids) are given point-major, `dim` coordinates
+/// each, and extend the index space past the tree's points. The kernel is
+/// evaluated here and nowhere else in the library. Caches all coordinates
+/// contiguously for locality.
 class KernelEntryGenerator final : public EntryGenerator {
  public:
-  KernelEntryGenerator(const tree::ClusterTree& tree, const KernelFunction& kernel);
+  KernelEntryGenerator(const tree::ClusterTree& tree, const KernelFunction& kernel,
+                       std::span<const real_t> appended = {});
 
   void generate_block(const_index_span rows, const_index_span cols, MatrixView out) const override;
 
  private:
   const KernelFunction* kernel_;
   index_t dim_;
-  std::vector<real_t> coords_; ///< permuted-position-major coordinates
+  std::vector<real_t> coords_; ///< tree points in permuted order, then the appended ones
 };
 
 /// Entry generator reading from an explicit dense matrix (already permuted):

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numbers>
-#include <numeric>
 #include <vector>
 
 #include "backend/device_matrix.hpp"
 #include "batched/batched_id.hpp"
 #include "common/timer.hpp"
+#include "h2/h2_assembly.hpp"
 #include "h2/h2_matvec.hpp"
 #include "kernels/dense_sampler.hpp"
 #include "kernels/entry_gen.hpp"
@@ -48,52 +46,6 @@ constexpr real_t kInnerGapFraction = 0.5;
 /// rank-capped.
 constexpr real_t kIdTolFactor = 0.1;
 
-/// Entry generator over the cluster points *extended by proxy points*:
-/// indices < N address permuted cluster positions (so skeleton/leaf index
-/// sets work unchanged), indices >= N address proxy points appended with
-/// add_point. All proxy points are appended before the first generate call,
-/// so the coordinate table is stable across launches.
-class ProxyEntryGenerator final : public EntryGenerator {
- public:
-  ProxyEntryGenerator(const tree::ClusterTree& tree, const KernelFunction& kernel)
-      : kernel_(&kernel), dim_(tree.dim()), n_(tree.num_points()) {
-    coords_.resize(static_cast<size_t>(n_ * dim_));
-    for (index_t p = 0; p < n_; ++p)
-      for (index_t d = 0; d < dim_; ++d)
-        coords_[static_cast<size_t>(p * dim_ + d)] = tree.coord_permuted(p, d);
-  }
-
-  /// Append a proxy point; returns its extended index (>= N).
-  index_t add_point(const real_t* x) {
-    for (index_t d = 0; d < dim_; ++d) coords_.push_back(x[d]);
-    return n_ + num_proxy_++;
-  }
-
-  index_t num_proxy() const { return num_proxy_; }
-
-  void generate_block(const_index_span rows, const_index_span cols,
-                      MatrixView out) const override {
-    H2S_CHECK(out.rows == static_cast<index_t>(rows.size()) &&
-                  out.cols == static_cast<index_t>(cols.size()),
-              "generate_block: shape mismatch");
-    for (index_t j = 0; j < out.cols; ++j) {
-      const real_t* yc = &coords_[static_cast<size_t>(cols[static_cast<size_t>(j)] * dim_)];
-      for (index_t i = 0; i < out.rows; ++i) {
-        const real_t* xc = &coords_[static_cast<size_t>(rows[static_cast<size_t>(i)] * dim_)];
-        out(i, j) = kernel_->evaluate(xc, yc, dim_);
-      }
-    }
-    record_entries(out.rows * out.cols);
-  }
-
- private:
-  const KernelFunction* kernel_;
-  index_t dim_;
-  index_t n_;
-  index_t num_proxy_ = 0;
-  std::vector<real_t> coords_; ///< cluster coords then proxy coords, point-major
-};
-
 /// Proxy count per shell for a given tolerance and dimension: H2Pack's
 /// surface-density heuristic (3D: 6 q^2 points on a Fibonacci sphere with
 /// q = ceil(-log10 tol) clamped to [4, 10]; 2D: max(8 q, 24) on a circle;
@@ -106,13 +58,18 @@ index_t points_per_shell(real_t tol, index_t dim) {
   return 2;
 }
 
-/// Append one shell of radius r around center c to the generator; collects
-/// the extended indices. Shell s gets a deterministic angular offset so
+/// Append one shell of radius r around center c to the proxy points `pts`
+/// (point-major, numbered from n after the tree's n points); collects the
+/// extended indices. Shell s gets a deterministic angular offset so
 /// consecutive shells don't stack points along the same rays.
-void add_shell(ProxyEntryGenerator& pgen, const real_t* c, real_t r, index_t m, index_t dim,
-               index_t shell, std::vector<index_t>& out) {
+void add_shell(std::vector<real_t>& pts, index_t n, const real_t* c, real_t r, index_t m,
+               index_t dim, index_t shell, std::vector<index_t>& out) {
   const real_t ga = std::numbers::pi * (3.0 - std::sqrt(5.0)); // golden angle
   real_t x[3] = {0, 0, 0};
+  const auto add_point = [&] {
+    out.push_back(n + static_cast<index_t>(pts.size()) / dim);
+    pts.insert(pts.end(), x, x + dim);
+  };
   if (dim >= 3) {
     // Fibonacci sphere: near-uniform coverage at any m.
     for (index_t i = 0; i < m; ++i) {
@@ -122,7 +79,7 @@ void add_shell(ProxyEntryGenerator& pgen, const real_t* c, real_t r, index_t m, 
       x[0] = c[0] + r * rho * std::cos(phi);
       x[1] = c[1] + r * rho * std::sin(phi);
       x[2] = c[2] + r * z;
-      out.push_back(pgen.add_point(x));
+      add_point();
     }
   } else if (dim == 2) {
     for (index_t i = 0; i < m; ++i) {
@@ -131,13 +88,13 @@ void add_shell(ProxyEntryGenerator& pgen, const real_t* c, real_t r, index_t m, 
                          ga * static_cast<real_t>(shell);
       x[0] = c[0] + r * std::cos(phi);
       x[1] = c[1] + r * std::sin(phi);
-      out.push_back(pgen.add_point(x));
+      add_point();
     }
   } else {
     x[0] = c[0] - r;
-    out.push_back(pgen.add_point(x));
+    add_point();
     x[0] = c[0] + r;
-    out.push_back(pgen.add_point(x));
+    add_point();
   }
 }
 
@@ -181,16 +138,16 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
   surrogate_.mtree = tree::MatrixTree::build(t, tree::Admissibility::general(kEta));
   surrogate_.init_structure();
 
-  ProxyEntryGenerator pgen(t, kernel);
   const bool has_far = surrogate_.mtree.has_any_far();
 
   // Proxy geometry for every node that carries a basis (levels leaf..1):
   // kNumShells concentric shells from just inside the admissibility buffer
   // (no admissible source can be closer than ~diameter/(2 eta) to the box)
   // out to the radius enclosing the whole domain. Pure geometry, laid out
-  // for all levels before the first generate launch: appending a point may
-  // reallocate the coordinate table that in-flight launches read.
+  // for all levels up front: the entry generator appends the points to the
+  // tree's when it is made.
   std::vector<std::vector<std::vector<index_t>>> proxy_idx(static_cast<size_t>(leaf + 1));
+  std::vector<real_t> proxy_pts;
   if (has_far) {
     const index_t per_shell = points_per_shell(opts.tol, dim);
     const geo::BoundingBox& root_box = t.box(0, 0);
@@ -211,45 +168,20 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
         for (index_t s = 0; s < kNumShells; ++s) {
           const real_t f = static_cast<real_t>(s) / static_cast<real_t>(kNumShells - 1);
           const real_t r = r_inner * std::pow(r_outer / r_inner, f);
-          add_shell(pgen, c, r, per_shell, dim, s, idx);
+          add_shell(proxy_pts, t.num_points(), c, r, per_shell, dim, s, idx);
         }
       }
     }
-    proxy_points_ = pgen.num_proxy();
   }
+  proxy_points_ = static_cast<index_t>(proxy_pts.size()) / dim;
+  const KernelEntryGenerator gen(t, kernel, proxy_pts);
 
   // Exact near field: its Frobenius mass anchors the ID threshold.
-  std::vector<std::vector<index_t>> leaf_positions(static_cast<size_t>(t.nodes_at(leaf)));
-  {
-    const auto& near = surrogate_.mtree.near_leaf;
-    std::vector<BlockRequest> reqs;
-    reqs.reserve(static_cast<size_t>(near.count()));
-    for (index_t i = 0; i < t.nodes_at(leaf); ++i) {
-      auto& pos = leaf_positions[static_cast<size_t>(i)];
-      pos.resize(static_cast<size_t>(t.size(leaf, i)));
-      std::iota(pos.begin(), pos.end(), t.begin(leaf, i));
-    }
-    for (index_t r = 0; r < t.nodes_at(leaf); ++r)
-      for (index_t j = 0; j < near.row_count(r); ++j) {
-        const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-        const index_t c = near.col[static_cast<size_t>(e)];
-        surrogate_.dense.set_shape(e, t.size(leaf, r), t.size(leaf, c));
-      }
-    surrogate_.dense.allocate(ctx.device());
-    for (index_t r = 0; r < t.nodes_at(leaf); ++r)
-      for (index_t j = 0; j < near.row_count(r); ++j) {
-        const index_t e = near.row_ptr[static_cast<size_t>(r)] + j;
-        reqs.push_back({leaf_positions[static_cast<size_t>(r)],
-                        leaf_positions[static_cast<size_t>(
-                            near.col[static_cast<size_t>(e)])],
-                        surrogate_.dense.dev(e)});
-      }
-    batched_generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
-  }
+  h2::generate_near_field(ctx, surrogate_, gen);
 
   if (!has_far) {
     ctx.sync_all();
-    entries_generated_ = pgen.entries_generated();
+    entries_generated_ = gen.entries_generated();
     surrogate_.validate();
     build_seconds_ = wall_seconds() - t0;
     return;
@@ -297,14 +229,13 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
       reqs.reserve(static_cast<size_t>(nodes));
       for (index_t i = 0; i < nodes; ++i) {
         const auto ui = static_cast<size_t>(i);
-        const_index_span rows = l == leaf ? const_index_span(leaf_positions[ui])
-                                          : const_index_span(stacked_rows[ui]);
+        const_index_span rows = l == leaf ? t.positions(l, i) : stacked_rows[ui];
         const auto& cols = proxy_idx[ul][ui];
         panels[ui].resize_uninitialized(ctx.device(), static_cast<index_t>(rows.size()),
                                         static_cast<index_t>(cols.size()));
         reqs.push_back({rows, cols, panels[ui].view()});
       }
-      batched_generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
+      batched_generate(ctx, batched::kEntryGenStream, gen, std::move(reqs));
       ctx.sync(batched::kEntryGenStream);
     }
 
@@ -317,70 +248,20 @@ void ProxyMatVecSampler::build(const KernelFunction& kernel, ProxySamplerOptions
     }
 
     for (index_t i = 0; i < nodes; ++i) {
-      const auto ui = static_cast<size_t>(i);
-      la::RowID& id = ids[ui];
-      const index_t k = static_cast<index_t>(id.skeleton.size());
-      surrogate_.ranks[ul][ui] = k;
+      la::RowID& id = ids[static_cast<size_t>(i)];
+      h2::set_skeleton(surrogate_, l, i, id.skeleton);
       surrogate_.basis[ul].stage(i, std::move(id.interp));
-      auto& skel = surrogate_.skeleton[ul][ui];
-      skel.resize(static_cast<size_t>(k));
-      if (l == leaf) {
-        const index_t b = t.begin(l, i);
-        for (index_t s = 0; s < k; ++s)
-          skel[static_cast<size_t>(s)] = b + id.skeleton[static_cast<size_t>(s)];
-      } else {
-        const auto& rows = stacked_rows[ui];
-        for (index_t s = 0; s < k; ++s)
-          skel[static_cast<size_t>(s)] = rows[static_cast<size_t>(id.skeleton[static_cast<size_t>(s)])];
-      }
     }
     surrogate_.basis[ul].commit(ctx.device());
   }
 
-  // Exact coupling at the selected skeletons, all levels in one batch: one
-  // block per mirrored pair (r < c); the (c, r) slot stays 0 x 0.
-  {
-    std::vector<BlockRequest> reqs;
-    reqs.reserve(static_cast<size_t>(surrogate_.mtree.total_far_blocks() / 2));
-    for (index_t l = 0; l < t.num_levels(); ++l) {
-      const auto ul = static_cast<size_t>(l);
-      const auto& far = surrogate_.mtree.far[ul];
-      for (index_t r = 0; r < t.nodes_at(l); ++r)
-        for (index_t j = 0; j < far.row_count(r); ++j) {
-          const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-          const index_t c = far.col[static_cast<size_t>(e)];
-          if (r > c) continue;
-          const auto& rs = surrogate_.skeleton[ul][static_cast<size_t>(r)];
-          const auto& cs = surrogate_.skeleton[ul][static_cast<size_t>(c)];
-          surrogate_.coupling[ul].set_shape(e, static_cast<index_t>(rs.size()),
-                                            static_cast<index_t>(cs.size()));
-        }
-      surrogate_.coupling[ul].allocate(ctx.device());
-      for (index_t r = 0; r < t.nodes_at(l); ++r)
-        for (index_t j = 0; j < far.row_count(r); ++j) {
-          const index_t e = far.row_ptr[static_cast<size_t>(r)] + j;
-          const index_t c = far.col[static_cast<size_t>(e)];
-          if (r > c) continue;
-          reqs.push_back({surrogate_.skeleton[ul][static_cast<size_t>(r)],
-                          surrogate_.skeleton[ul][static_cast<size_t>(c)],
-                          surrogate_.coupling[ul].dev(e)});
-        }
-    }
-    batched_generate(ctx, batched::kEntryGenStream, pgen, std::move(reqs));
-  }
+  // Exact coupling at the selected skeletons, all levels in one batch.
+  h2::generate_coupling(ctx, surrogate_, gen, 0, t.num_levels());
 
   ctx.sync_all();
-  entries_generated_ = pgen.entries_generated();
+  entries_generated_ = gen.entries_generated();
   surrogate_.validate();
   build_seconds_ = wall_seconds() - t0;
-}
-
-SamplerKind sampler_kind_from_env(SamplerKind fallback) {
-  const char* v = std::getenv("H2SKETCH_SAMPLER");
-  if (v == nullptr) return fallback;
-  if (std::strcmp(v, "proxy") == 0) return SamplerKind::Proxy;
-  if (std::strcmp(v, "exact") == 0) return SamplerKind::Exact;
-  return fallback;
 }
 
 std::unique_ptr<MatVecSampler> make_kernel_sampler(SamplerKind kind,

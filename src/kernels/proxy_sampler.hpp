@@ -86,10 +86,6 @@ enum class SamplerKind {
   Proxy  ///< ProxyMatVecSampler: O(N d) via the surrogate
 };
 
-/// Sampler selection from the environment: H2SKETCH_SAMPLER = "exact" or
-/// "proxy" overrides `fallback`; unset or unrecognized keeps it.
-SamplerKind sampler_kind_from_env(SamplerKind fallback = SamplerKind::Exact);
-
 /// Factory for a kernel-matrix sampler of the requested kind. `proxy_opts`
 /// is consulted only for SamplerKind::Proxy.
 std::unique_ptr<MatVecSampler> make_kernel_sampler(

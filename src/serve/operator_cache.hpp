@@ -161,7 +161,11 @@ class OperatorCache {
   explicit OperatorCache(CacheOptions opts);
   /// byte_budget 0 = unbounded (never evicts).
   explicit OperatorCache(std::size_t byte_budget = 0)
-      : OperatorCache(CacheOptions{.byte_budget = byte_budget}) {}
+      : OperatorCache([byte_budget] {
+          CacheOptions opts;
+          opts.byte_budget = byte_budget;
+          return opts;
+        }()) {}
   ~OperatorCache();
   OperatorCache(const OperatorCache&) = delete;
   OperatorCache& operator=(const OperatorCache&) = delete;

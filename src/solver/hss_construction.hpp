@@ -31,11 +31,11 @@ core::ConstructionResult build_hss(std::shared_ptr<const tree::ClusterTree> tree
                                    const core::ConstructionOptions& opts);
 
 /// Kernel-matrix entry point with selectable sampling: instantiates the
-/// entry generator and a sampler of the requested kind internally
-/// (H2SKETCH_SAMPLER=exact|proxy overrides `kind`). The proxy surrogate is
-/// always strongly admissible even though the HSS structure is weak — proxy
-/// surfaces need a separated far field; the HSS sketches then run against
-/// the surrogate's O(N d) matvec. proxy_opts.tol <= 0 inherits opts.tol.
+/// entry generator and a sampler of the requested kind internally. The
+/// proxy surrogate is always strongly admissible even though the HSS
+/// structure is weak — proxy surfaces need a separated far field; the HSS
+/// sketches then run against the surrogate's O(N d) matvec.
+/// proxy_opts.tol <= 0 inherits opts.tol.
 core::ConstructionResult build_hss(std::shared_ptr<const tree::ClusterTree> tree,
                                    const kern::KernelFunction& kernel,
                                    const core::ConstructionOptions& opts,

@@ -1,6 +1,7 @@
 #include "tree/cluster_tree.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <string>
 
 #include "common/errors.hpp"
@@ -13,10 +14,8 @@ ClusterTree ClusterTree::build(PointCloud points, index_t leaf_size) {
       if (!std::isfinite(points.coord(i, d)))
         throw InvalidArgumentError("ClusterTree::build: coordinate " + std::to_string(d) +
                                    " of point " + std::to_string(i) + " is not finite");
-  ClusterTree t;
-  t.clustering_ = geo::build_kd_clustering(points, leaf_size);
-  t.points_ = std::move(points);
-  return t;
+  geo::KdClustering clustering = geo::build_kd_clustering(points, leaf_size);
+  return from_parts(std::move(points), std::move(clustering));
 }
 
 ClusterTree ClusterTree::from_parts(PointCloud points, geo::KdClustering clustering) {
@@ -25,6 +24,8 @@ ClusterTree ClusterTree::from_parts(PointCloud points, geo::KdClustering cluster
   ClusterTree t;
   t.clustering_ = std::move(clustering);
   t.points_ = std::move(points);
+  t.positions_.resize(t.clustering_.perm.size());
+  std::iota(t.positions_.begin(), t.positions_.end(), index_t{0});
   return t;
 }
 

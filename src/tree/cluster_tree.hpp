@@ -45,6 +45,14 @@ class ClusterTree {
   index_t end(index_t level, index_t i) const { return node(level, i).end; }
   index_t size(index_t level, index_t i) const { return node(level, i).size(); }
 
+  /// The positions [begin, end) of cluster i at `level`, as an index list
+  /// (a view into one list the tree owns): the row or column set of a block
+  /// over whole clusters.
+  const_index_span positions(index_t level, index_t i) const {
+    return const_index_span(positions_).subspan(static_cast<size_t>(begin(level, i)),
+                                                 static_cast<size_t>(size(level, i)));
+  }
+
   /// Tight bounding box of cluster i at `level`.
   const BoundingBox& box(index_t level, index_t i) const { return node(level, i).box; }
 
@@ -72,6 +80,7 @@ class ClusterTree {
 
   PointCloud points_;
   geo::KdClustering clustering_;
+  std::vector<index_t> positions_; ///< 0 .. N-1
 };
 
 } // namespace h2sketch::tree

@@ -47,6 +47,19 @@ TEST_P(ClusterTreeProps, EveryLevelPartitionsTheIndexRange) {
   }
 }
 
+TEST_P(ClusterTreeProps, PositionsListEachNodesRangeAfterBuildAndFromParts) {
+  const ClusterTree built = make();
+  const ClusterTree parts = ClusterTree::from_parts(built.points(), built.clustering());
+  for (const ClusterTree* t : {&built, &parts})
+    for (index_t l = 0; l < t->num_levels(); ++l)
+      for (index_t i = 0; i < t->nodes_at(l); ++i) {
+        const const_index_span pos = t->positions(l, i);
+        ASSERT_EQ(static_cast<index_t>(pos.size()), t->size(l, i)) << l << "," << i;
+        for (index_t p = 0; p < t->size(l, i); ++p)
+          EXPECT_EQ(pos[static_cast<size_t>(p)], t->begin(l, i) + p) << l << "," << i;
+      }
+}
+
 TEST_P(ClusterTreeProps, ChildrenPartitionParent) {
   const ClusterTree t = make();
   for (index_t l = 0; l + 1 < t.num_levels(); ++l) {

@@ -43,6 +43,7 @@ using core::ConstructionOptions;
 using tree::Admissibility;
 
 struct BuildOutput {
+  Matrix input_dense; ///< Update input only: the Chebyshev H2, whose blocks evaluate on the pool
   Matrix dense;
   Matrix matvec;      ///< 17-column apply: four full 4-column tiles plus an edge
   Matrix matvec_one;  ///< one-column apply: the query path
@@ -73,6 +74,7 @@ BuildOutput build_with_threads(int threads, Input input) {
   opts.sample_block = 16;
   opts.initial_samples = 32;
   batched::ExecutionContext ctx(batched::Backend::Batched);
+  BuildOutput out;
   core::ConstructionResult res;
   if (input == Input::Kernel) {
     const Matrix kd = test_util::dense_kernel_matrix(*tr, k);
@@ -81,6 +83,7 @@ BuildOutput build_with_threads(int threads, Input input) {
     res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
   } else {
     const h2::H2Matrix base = h2::build_cheb_h2(tr, Admissibility::general(0.7), k, 4);
+    out.input_dense = h2::densify(base);
     la::LowRank update = la::random_lowrank(600, 600, 8, 0.05, 405);
     update.v = to_matrix(update.u.view());
     h2::UpdatedH2Sampler sampler(base, update);
@@ -88,7 +91,6 @@ BuildOutput build_with_threads(int threads, Input input) {
     res = core::construct_h2(tr, Admissibility::general(0.7), sampler, gen, opts, ctx);
   }
 
-  BuildOutput out;
   out.dense = h2::densify(res.matrix);
   Matrix x(600, 17), y(600, 17), y1(600, 1);
   fill_gaussian(x.view(), GaussianStream(99));
@@ -122,6 +124,8 @@ TEST(Determinism, ConstructionIsBitwiseIdenticalAcrossThreadCounts) {
       EXPECT_EQ(got.max_rank, ref.max_rank) << what << threads << " threads";
       EXPECT_EQ(got.ranks_per_level, ref.ranks_per_level) << what << threads << " threads";
       // Bitwise: zero tolerance, not "close".
+      EXPECT_EQ(max_abs_diff(got.input_dense.view(), ref.input_dense.view()), 0.0)
+          << what << threads << " threads, input operator";
       EXPECT_EQ(max_abs_diff(got.dense.view(), ref.dense.view()), 0.0)
           << what << threads << " threads";
       EXPECT_EQ(max_abs_diff(got.matvec.view(), ref.matvec.view()), 0.0)

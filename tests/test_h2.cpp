@@ -10,6 +10,7 @@
 #include "h2/h2_matvec.hpp"
 #include "h2/update_sampler.hpp"
 #include "kernels/dense_sampler.hpp"
+#include "kernels/entry_gen.hpp"
 #include "kernels/kernels.hpp"
 #include "la/blas.hpp"
 #include "test_common.hpp"
@@ -121,6 +122,23 @@ TEST_P(ChebH2, BlockEntryEvalMatchesDensify) {
             << "far block (" << r << "," << c << ") at level " << l;
       }
   }
+}
+
+TEST_P(ChebH2, NearBlocksAreTheEntryGeneratorsBlocksBitwise) {
+  const tree::ClusterTree& t = *tree_;
+  const kern::KernelEntryGenerator gen(t, *kernel_);
+  const index_t leaf = t.leaf_level();
+  const tree::LevelBlockList& near = a_.mtree.near_leaf;
+  for (index_t r = 0; r < t.nodes_at(leaf); ++r)
+    for (index_t j = 0; j < near.row_count(r); ++j) {
+      const index_t c = near.col_at(r, j);
+      Matrix ref(t.size(leaf, r), t.size(leaf, c));
+      gen.generate_block(t.positions(leaf, r), t.positions(leaf, c), ref.view());
+      const Matrix& d = a_.dense.host(near.row_ptr[static_cast<size_t>(r)] + j);
+      ASSERT_EQ(d.rows(), ref.rows());
+      ASSERT_EQ(d.cols(), ref.cols());
+      EXPECT_EQ(max_abs_diff(d.view(), ref.view()), 0.0) << "near block (" << r << "," << c << ")";
+    }
 }
 
 TEST_P(ChebH2, ValidatePassesAndMemoryIsAccounted) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "batched/device.hpp"
 #include "common/errors.hpp"
@@ -87,6 +88,29 @@ TEST_F(EntryGenFixture, MatchesDirectKernelEvaluationThroughPermutation) {
                        kernel_->evaluate(x, y, 3));
     }
   EXPECT_EQ(gen_->entries_generated(), 6);
+}
+
+TEST_F(EntryGenFixture, AppendedPointsEvaluateAtTheirOwnCoordinates) {
+  // Two points past the tree's 100, addressed as positions 100 and 101.
+  const std::vector<real_t> appended = {0.5, -1.0, 2.0, 3.0, 0.25, -0.75};
+  const KernelEntryGenerator gen(*tree_, *kernel_, appended);
+  const std::vector<index_t> rows = {100, 17, 101}, cols = {101, 42, 100};
+  Matrix out(3, 3);
+  gen.generate_block(rows, cols, out.view());
+  const auto coords = [&](index_t p, real_t* x) {
+    for (index_t d = 0; d < 3; ++d)
+      x[d] = p < 100 ? tree_->coord_permuted(p, d)
+                     : appended[static_cast<size_t>((p - 100) * 3 + d)];
+  };
+  for (size_t i = 0; i < rows.size(); ++i)
+    for (size_t j = 0; j < cols.size(); ++j) {
+      real_t x[3], y[3];
+      coords(rows[i], x);
+      coords(cols[j], y);
+      // Bitwise: the same evaluate call on the same coordinates.
+      EXPECT_EQ(out(static_cast<index_t>(i), static_cast<index_t>(j)), kernel_->evaluate(x, y, 3))
+          << rows[i] << "," << cols[j];
+    }
 }
 
 TEST_F(EntryGenFixture, BatchedGenerateIsOneLaunch) {

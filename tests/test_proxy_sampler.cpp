@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -19,7 +18,7 @@
 /// \file test_proxy_sampler.cpp
 /// The proxy-point sampler (O(N d) sketching): surrogate accuracy against
 /// the dense kernel matrix, proxy-vs-exact construction agreement at the
-/// same tolerance, the HSS build path, sampler selection (factory + env),
+/// same tolerance, the HSS build path, sampler selection (the factory),
 /// and the MatVecSampler accounting contract under repeated and concurrent
 /// sample calls.
 
@@ -174,21 +173,6 @@ TEST(SamplerSelection, FactoryBuildsTheRequestedKind) {
   EXPECT_NE(dynamic_cast<kern::ProxyMatVecSampler*>(proxy.get()), nullptr);
   EXPECT_EQ(exact->size(), 300);
   EXPECT_EQ(proxy->size(), 300);
-}
-
-TEST(SamplerSelection, EnvironmentOverridesTheFallback) {
-  ASSERT_EQ(unsetenv("H2SKETCH_SAMPLER"), 0);
-  EXPECT_EQ(kern::sampler_kind_from_env(kern::SamplerKind::Exact), kern::SamplerKind::Exact);
-  EXPECT_EQ(kern::sampler_kind_from_env(kern::SamplerKind::Proxy), kern::SamplerKind::Proxy);
-
-  ASSERT_EQ(setenv("H2SKETCH_SAMPLER", "proxy", 1), 0);
-  EXPECT_EQ(kern::sampler_kind_from_env(kern::SamplerKind::Exact), kern::SamplerKind::Proxy);
-  ASSERT_EQ(setenv("H2SKETCH_SAMPLER", "exact", 1), 0);
-  EXPECT_EQ(kern::sampler_kind_from_env(kern::SamplerKind::Proxy), kern::SamplerKind::Exact);
-  // Unknown values keep the fallback rather than failing the run.
-  ASSERT_EQ(setenv("H2SKETCH_SAMPLER", "warp-drive", 1), 0);
-  EXPECT_EQ(kern::sampler_kind_from_env(kern::SamplerKind::Proxy), kern::SamplerKind::Proxy);
-  ASSERT_EQ(unsetenv("H2SKETCH_SAMPLER"), 0);
 }
 
 TEST(SamplerAccounting, RepeatedCallsAccumulateAndResetClears) {
